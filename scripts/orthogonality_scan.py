@@ -9,7 +9,7 @@ solutions inside the box.
 
 import argparse
 
-from addspec.cli import _space_params
+from addspec.additive_space import space_from_name
 from addspec.ortho_solver import SCAN_ROOT_TOL, scan_residual, solve_families
 
 
@@ -22,7 +22,8 @@ def main():
 
     w = args.half_width
     for name in args.spaces.split(","):
-        t, tp = _space_params(name)
+        space = space_from_name(name)
+        t, tp = space.mu.pieces[0][0], space.nu.pieces[0][0]
         fams = solve_families(t, tp)
         res = scan_residual(t, tp, ((-w, w), (-w, w)), args.grid)
         if not fams:

@@ -16,9 +16,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from . import __version__
 from .additive_space import space_from_name
@@ -59,36 +57,6 @@ from .ortho_solver import (
 IDENTITY_TOL = 1e-12
 
 
-@dataclass
-class RunConfig:
-    """Everything a run needs; identical configs give identical report bodies."""
-
-    command: str
-    kind: Optional[str] = None
-    space: Optional[str] = None
-    points: Optional[str] = None
-    measure: Optional[str] = None
-    N: int = 16
-    k: int = 1
-    q: int = 2
-    depth: int = 7
-    grid: int = 400
-    window: float = 20.0
-    anchors: int = 64
-    seed: int = 0
-    sizes: Optional[str] = None
-    check: Optional[str] = None
-    parseval: bool = False
-    scan: bool = False
-    classify: bool = False
-    box: str = "-4,4,-4,4"
-    t: Optional[str] = None
-    t_prime: Optional[str] = None
-    a: str = "1"
-    out: Optional[str] = None
-    fmt: str = "json"
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -105,21 +73,6 @@ def load_points(path: str) -> ExponentSet:
 
 def load_measure(path: str) -> IntervalUnionMeasure:
     return IntervalUnionMeasure.from_json(_load_json(path))
-
-
-def _space_params(name: str) -> Tuple[Fraction, Fraction]:
-    """Interval positions (t, t') for a named unit-interval space."""
-    table = {
-        "L": (Fraction(0), Fraction(0)),
-        "Plus": (Fraction(-1, 2), Fraction(-1, 2)),
-        "T": (Fraction(-1, 2), Fraction(-1)),
-    }
-    if name in table:
-        return table[name]
-    if name.startswith("Symmetric:t="):
-        t = as_fraction(name[len("Symmetric:t="):])
-        return (t, t)
-    raise MalformedInputError(f"unknown space preset {name!r}")
 
 
 def _parse_box(text: str):
@@ -149,8 +102,8 @@ def _parse_sizes(text: Optional[str], n: int) -> List[int]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_analyze(cfg: RunConfig):
-    es = load_points(cfg.points)
+def _cmd_analyze(args: argparse.Namespace):
+    es = load_points(args.points)
     mult, per_line = multiplicity(es)
     loop = find_zigzag_loop(es)
     body = {
@@ -165,38 +118,38 @@ def _cmd_analyze(cfg: RunConfig):
         "max_zigzag_length": max_zigzag_length(es),
         "density": {},
     }
-    windows = [cfg.window / 2, cfg.window, 2 * cfg.window]
+    windows = [args.window / 2, args.window, 2 * args.window]
     rows = []
     for axis in ("x", "y"):
         proj = project(es, axis)
         sweep = []
         for w in windows:
-            est = lower_beurling_density(proj, w, cfg.anchors)
+            est = lower_beurling_density(proj, w, args.anchors)
             sweep.append({"window": w, "estimate": est})
             rows.append((axis, w, est))
         body["density"][axis] = sweep
     return body, ("axis", "window", "estimate"), rows
 
 
-def _cmd_gram(cfg: RunConfig):
-    space = space_from_name(cfg.space)
-    es = load_points(cfg.points)
+def _cmd_gram(args: argparse.Namespace):
+    space = space_from_name(args.space)
+    es = load_points(args.points)
     pairs = es.points
-    sizes = _parse_sizes(cfg.sizes, len(pairs))
+    sizes = _parse_sizes(args.sizes, len(pairs))
     cert = riesz_section_certificate(space, pairs, sizes)
     body = {
-        "space": cfg.space,
+        "space": args.space,
         "n_points": len(pairs),
         "certificate": cert.to_body(),
     }
-    if cfg.check == "identity":
+    if args.check == "identity":
         dev = identity_deviation(assemble(space, pairs))
         body["identity_check"] = {
             "max_abs_deviation": dev,
             "tolerance": IDENTITY_TOL,
             "passed": bool(dev < IDENTITY_TOL),
         }
-    if cfg.parseval:
+    if args.parseval:
         fams = [
             ("constant", constant_pair(space)),
             ("linear", monomial_pair(space, 1, 1)),
@@ -210,36 +163,37 @@ def _cmd_gram(cfg: RunConfig):
     return body, ("size", "lambda_min", "lambda_max"), rows
 
 
-def _cmd_construct(cfg: RunConfig):
-    if cfg.kind == "l-onb":
-        es = l_space_onb(cfg.N)
-    elif cfg.kind == "mirror":
-        es = mirror_spectrum(cfg.k, cfg.N)
-    elif cfg.kind == "lev":
-        es = lev_style_set(cfg.q, cfg.depth)
-    elif cfg.kind == "nonoverlap":
-        if cfg.measure is None:
+def _cmd_construct(args: argparse.Namespace):
+    if args.kind == "l-onb":
+        es = l_space_onb(args.N)
+    elif args.kind == "mirror":
+        es = mirror_spectrum(args.k, args.N)
+    elif args.kind == "lev":
+        es = lev_style_set(args.q, args.depth)
+    elif args.kind == "nonoverlap":
+        if args.measure is None:
             raise MalformedInputError("construct nonoverlap needs --measure")
-        m = load_measure(cfg.measure)
-        spec = nonoverlap_riesz_spectrum(m, integer_base(cfg.N))
+        m = load_measure(args.measure)
+        spec = nonoverlap_riesz_spectrum(m, integer_base(args.N))
         print(
             f"tau={spec.tau} epsilon={spec.epsilon} base={len(spec.base)} points",
             file=sys.stderr,
         )
         es = spec.pairs
     else:
-        raise MalformedInputError(f"unknown construct kind {cfg.kind!r}")
+        raise MalformedInputError(f"unknown construct kind {args.kind!r}")
     rows = [(str(p.a), str(p.b)) for p in es.points]
     return es.to_json(), ("a", "b"), rows
 
 
-def _cmd_solve_oe(cfg: RunConfig):
-    if cfg.t is not None or cfg.t_prime is not None:
-        if cfg.t is None or cfg.t_prime is None:
+def _cmd_solve_oe(args: argparse.Namespace):
+    if args.t is not None or args.t_prime is not None:
+        if args.t is None or args.t_prime is None:
             raise MalformedInputError("give both --t and --t-prime")
-        t, tp = as_fraction(cfg.t), as_fraction(cfg.t_prime)
-    elif cfg.space is not None:
-        t, tp = _space_params(cfg.space)
+        t, tp = as_fraction(args.t), as_fraction(args.t_prime)
+    elif args.space is not None:
+        space = space_from_name(args.space)
+        t, tp = space.mu.pieces[0][0], space.nu.pieces[0][0]
     else:
         raise MalformedInputError("give --space or --t/--t-prime")
     fams = solve_families(t, tp)
@@ -265,23 +219,23 @@ def _cmd_solve_oe(cfg: RunConfig):
     for fam in fams:
         for l1, l2 in fam.members(100):
             rows.append((float(l1), float(l2), residual(t, tp, float(l1), float(l2))))
-    if cfg.scan:
-        result = scan_residual(t, tp, _parse_box(cfg.box), cfg.grid, families=fams)
+    if args.scan:
+        result = scan_residual(t, tp, _parse_box(args.box), args.grid, families=fams)
         body["scan"] = result.to_body()
         rows.append((result.argmin[0], result.argmin[1], result.min_residual))
-    if cfg.classify:
-        body["classification"] = classify_spectrum_candidates(t, cfg.window, cfg.anchors).to_body()
+    if args.classify:
+        body["classification"] = classify_spectrum_candidates(t, args.window, args.anchors).to_body()
     return body, header, rows
 
 
-def _cmd_demo_collinear(cfg: RunConfig):
-    a = as_fraction(cfg.a)
-    const = collinear_failure_demo(a, cfg.N)
-    rand = collinear_failure_demo(a, cfg.N, g="random", seed=cfg.seed)
+def _cmd_demo_collinear(args: argparse.Namespace):
+    a = as_fraction(args.a)
+    const = collinear_failure_demo(a, args.N)
+    rand = collinear_failure_demo(a, args.N, g="random", seed=args.seed)
     body = {
         "slope": str(a),
-        "N": cfg.N,
-        "seed": cfg.seed,
+        "N": args.N,
+        "seed": args.seed,
         "constant_g": const.to_body(),
         "random_g": rand.to_body(),
     }
@@ -292,9 +246,18 @@ def _cmd_demo_collinear(cfg: RunConfig):
     return body, ("test_fn", "ratio"), rows
 
 
-def _emit(cfg: RunConfig, payload: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+_COMMANDS = {
+    "analyze": _cmd_analyze,
+    "gram": _cmd_gram,
+    "construct": _cmd_construct,
+    "solve-oe": _cmd_solve_oe,
+    "demo-collinear": _cmd_demo_collinear,
+}
+
+
+def _emit(args: argparse.Namespace, payload: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
@@ -302,36 +265,25 @@ def _emit(cfg: RunConfig, payload: str) -> None:
             sys.stdout.write("\n")
 
 
-def run(cfg: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
-        if cfg.command == "analyze":
-            body, header, rows = _cmd_analyze(cfg)
-        elif cfg.command == "gram":
-            body, header, rows = _cmd_gram(cfg)
-        elif cfg.command == "construct":
-            body, header, rows = _cmd_construct(cfg)
-        elif cfg.command == "solve-oe":
-            body, header, rows = _cmd_solve_oe(cfg)
-        elif cfg.command == "demo-collinear":
-            body, header, rows = _cmd_demo_collinear(cfg)
-        else:
-            raise MalformedInputError(f"unknown command {cfg.command!r}")
+        body, header, rows = _COMMANDS[args.command](args)
     except ToolkitError as exc:
         error = {"error": {"code": exc.code, "message": str(exc)}}
-        _emit(cfg, json.dumps(error, sort_keys=True, indent=2))
+        _emit(args, json.dumps(error, sort_keys=True, indent=2))
         return exc.exit_code
 
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        _emit(cfg, buf.getvalue())
+        _emit(args, buf.getvalue())
         return 0
-    if cfg.command == "construct":
+    if args.command == "construct":
         # plain point-set JSON so the output is directly ingestible
-        _emit(cfg, json.dumps(body, indent=2))
+        _emit(args, json.dumps(body, indent=2))
         return 0
     report = {
         "body": body,
@@ -341,7 +293,7 @@ def run(cfg: RunConfig) -> int:
             "elapsed_ms": round(1000 * (time.perf_counter() - started), 3),
         },
     }
-    _emit(cfg, json.dumps(report, sort_keys=True, indent=2))
+    _emit(args, json.dumps(report, sort_keys=True, indent=2))
     return 0
 
 
@@ -401,9 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ns = build_parser().parse_args(argv)
-    cfg = RunConfig(**vars(ns))
-    return run(cfg)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

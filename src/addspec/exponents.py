@@ -4,18 +4,20 @@ Points live on a grid of vertical and horizontal lines; zigzags are paths
 that alternate moves along those lines.  The core representation is the
 bipartite line-incidence graph (nodes = distinct lines, edges = points), so
 zigzag loops are graph cycles and loop-free sets give forests with unique
-paths.  All coordinates are exact rationals: "same line" must never be a
-floating-point question.
+paths.  The graph is a dict adjacency grown in insertion order; a union-find
+over its lines finds the first point whose two lines are already connected,
+which closes a loop through the unique forest path between them.  All
+coordinates are exact rationals: "same line" must never be a floating-point
+question.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-import networkx as nx
 import numpy as np
 
 from .additive_space import ExponentPair
@@ -125,11 +127,61 @@ class ZigzagPath:
         return self.length > 0 and self.vertices[0] == self.vertices[-1]
 
 
-def _incidence_graph(points: Iterable[ExponentPair]) -> nx.Graph:
-    g = nx.Graph()
+def _grow_forest(points: Iterable[ExponentPair]):
+    """Incidence forest of ``points``, grown in insertion order.
+
+    Returns (adj, closing): ``adj`` maps each line to its (line, point)
+    neighbours, and ``closing`` is the first point whose two lines are
+    already connected (it is left out of ``adj``), or None if there is none.
+    """
+    adj: dict = {}
+    root: dict = {}
+
+    def find(u):
+        while root.setdefault(u, u) != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        return u
+
     for p in points:
-        g.add_edge(("x", p.a), ("y", p.b), point=p)
-    return g
+        u, v = ("x", p.a), ("y", p.b)
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return adj, p
+        root[ru] = rv
+        adj.setdefault(u, []).append((v, p))
+        adj.setdefault(v, []).append((u, p))
+    return adj, None
+
+
+def _bfs(adj: dict, src, dst=None) -> dict:
+    """Breadth-first tree from ``src``: node -> (parent, point, depth).
+
+    Entries are in visiting order, so after a full search the last one is a
+    farthest node; the search stops early once ``dst`` is reached.
+    """
+    tree = {src: (None, None, 0)}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        if u == dst:
+            break
+        for v, p in adj[u]:
+            if v not in tree:
+                tree[v] = (u, p, tree[u][2] + 1)
+                queue.append(v)
+    return tree
+
+
+def _close_loop(adj: dict, p: ExponentPair) -> ZigzagPath:
+    """The loop that ``p`` closes with the forest path between its lines."""
+    node, dst = ("x", p.a), ("y", p.b)
+    tree = _bfs(adj, dst, node)
+    pts = []
+    while node != dst:
+        node, q, _ = tree[node]
+        pts.append(q)
+    return ZigzagPath(tuple(pts) + (p, pts[0]))
 
 
 def project(es: ExponentSet, axis: str) -> List[Fraction]:
@@ -158,16 +210,14 @@ def multiplicity(es: ExponentSet):
 
 
 def find_zigzag_loop(es: ExponentSet) -> Optional[ZigzagPath]:
-    """Return a zigzag loop if one exists, else None.  Detection is exact."""
-    if not es.points:
-        return None
-    g = _incidence_graph(es.points)
-    try:
-        cycle = nx.find_cycle(g)
-    except nx.NetworkXNoCycle:
-        return None
-    pts = [g.edges[u, v]["point"] for u, v in cycle]
-    return ZigzagPath(tuple(pts) + (pts[0],))
+    """Return a zigzag loop if one exists, else None.  Detection is exact.
+
+    The loop is closed by the earliest point, in insertion order, whose two
+    lines are already connected by the points before it, and runs through
+    the unique forest path between those lines.
+    """
+    adj, closing = _grow_forest(es.points)
+    return None if closing is None else _close_loop(adj, closing)
 
 
 def max_zigzag_length(es: ExponentSet) -> Union[int, str]:
@@ -178,20 +228,19 @@ def max_zigzag_length(es: ExponentSet) -> Union[int, str]:
     """
     if not es.points:
         raise MalformedInputError("empty exponent set")
-    g = _incidence_graph(es.points)
-    try:
-        nx.find_cycle(g)
+    adj, closing = _grow_forest(es.points)
+    if closing is not None:
         return UNBOUNDED_BY_LOOP
-    except nx.NetworkXNoCycle:
-        pass
     best = 0
-    for comp in nx.connected_components(g):
-        sub = g.subgraph(comp)
-        start = next(iter(comp))
-        d1 = nx.single_source_shortest_path_length(sub, start)
-        far = max(d1, key=d1.get)
-        d2 = nx.single_source_shortest_path_length(sub, far)
-        best = max(best, max(d2.values()) - 1)
+    seen = set()
+    for start in adj:
+        if start in seen:
+            continue
+        comp = _bfs(adj, start)
+        seen.update(comp)
+        far = next(reversed(comp))
+        _, _, diameter = next(reversed(_bfs(adj, far).values()))
+        best = max(best, diameter - 1)
     return best
 
 
@@ -218,16 +267,15 @@ def zigzag_distance_map(
     f: Dict[ExponentPair, int] = {order[0]: 0}
     first_on_x: Dict[Fraction, ExponentPair] = {order[0].a: order[0]}
     first_on_y: Dict[Fraction, ExponentPair] = {order[0].b: order[0]}
-    prefix = nx.Graph()
-    prefix.add_edge(("x", order[0].a), ("y", order[0].b), point=order[0])
+    # grown up to the first point whose lines are already joined, which along
+    # a valid ordering is the first point with predecessors on both axes
+    prefix, _ = _grow_forest(order)
 
     for p in order[1:]:
         vpred = first_on_x.get(p.a)
         hpred = first_on_y.get(p.b)
         if vpred is not None and hpred is not None:
-            path = nx.shortest_path(prefix, ("x", p.a), ("y", p.b))
-            pts = [prefix.edges[u, v]["point"] for u, v in zip(path, path[1:])]
-            loop = ZigzagPath(tuple(pts) + (p, pts[0]))
+            loop = _close_loop(prefix, p)
             raise ZigzagLoopDetected(f"loop through {p}", loop=loop)
         if vpred is not None:
             f[p] = f[vpred] + 1
@@ -237,7 +285,6 @@ def zigzag_distance_map(
             raise NotAnSSequenceError(f"{p} shares no line with an earlier point")
         first_on_x.setdefault(p.a, p)
         first_on_y.setdefault(p.b, p)
-        prefix.add_edge(("x", p.a), ("y", p.b), point=p)
     return f
 
 

@@ -200,3 +200,25 @@ def test_nonoverlap_construct_pipeline(tmp_path, capsys):
     )
     assert code == 0
     assert report["body"]["certificate"]["verdict"] == "riesz-consistent"
+
+
+@pytest.mark.parametrize(
+    "space, t, t_prime",
+    [
+        ("L", "0", "0"),
+        ("Plus", "-1/2", "-1/2"),
+        ("T", "-1/2", "-1"),
+        ("Symmetric:t=-1/3", "-1/3", "-1/3"),
+    ],
+)
+def test_solve_oe_preset_matches_explicit_parameters(tmp_path, space, t, t_prime):
+    extra = ["--scan", "--grid", "40"]
+    code, by_name = run_json(tmp_path, ["solve-oe", "--space", space] + extra, "a.json")
+    assert code == 0
+    code, by_value = run_json(
+        tmp_path, ["solve-oe", f"--t={t}", f"--t-prime={t_prime}"] + extra, "b.json"
+    )
+    assert code == 0
+    assert by_name["body"] == by_value["body"]
+    code, err = run_json(tmp_path, ["solve-oe", "--space", space + "x"], "c.json")
+    assert code == 3 and err["error"]["code"] == "malformed-input"

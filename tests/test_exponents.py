@@ -1,10 +1,16 @@
+import json
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import addspec
 from addspec import (
     UNBOUNDED_BY_LOOP,
     ExponentPair,
@@ -244,6 +250,69 @@ def test_two_paths_between_corners_marks_loop(rectangle_points):
     pts = rectangle_points.points
     assert len(brute_alternating_paths(pts, pts[0], pts[3])) == 2
     assert find_zigzag_loop(rectangle_points) is not None
+
+
+def test_max_zigzag_length_matches_brute_force_on_forests():
+    import numpy as np
+
+    rng = np.random.default_rng(23)
+    checked = 0
+    while checked < 40:
+        # two or three loop-free pieces on disjoint lines, then shuffled
+        pts = []
+        for k in range(int(rng.integers(2, 4))):
+            piece = random_point_set(rng, max_points=8)
+            if brute_loop_exists(piece.points):
+                break
+            pts += [ExponentPair(p.a + 10 * k, p.b + 10 * k) for p in piece.points]
+        else:
+            rng.shuffle(pts)
+            longest = max(
+                (
+                    max(brute_alternating_paths(pts, p, q), default=0)
+                    for i, p in enumerate(pts)
+                    for q in pts[i + 1:]
+                ),
+                default=0,
+            )
+            assert max_zigzag_length(ExponentSet.of(pts)) == longest
+            checked += 1
+
+
+def test_loop_witness_is_the_first_loop_completed():
+    first = [(1, 1), (1, 3), (3, 1), (3, 3)]
+    second = [(10, 10), (10, 12), (12, 10), (12, 12)]
+    for a, b in ((first, second), (second, first)):
+        loop = find_zigzag_loop(ExponentSet.of(a + b))
+        assert set(loop.vertices) == set(ExponentSet.of(a).points)
+    # interleaved: the second rectangle gets its closing point first
+    loop = find_zigzag_loop(ExponentSet.of(first[:3] + second + first[3:]))
+    assert set(loop.vertices) == set(ExponentSet.of(second).points)
+    # completion order decides, not loop length
+    hexagon = [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 1)]
+    assert find_zigzag_loop(ExponentSet.of(hexagon + second)).length == 6
+
+
+def test_cli_analyze_runs_without_networkx(tmp_path):
+    pts = tmp_path / "rect.json"
+    pts.write_text(json.dumps([["1", "1"], ["1", "3"], ["3", "1"], ["3", "3"]]))
+    src = str(Path(addspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    script = (
+        "import sys; sys.modules['networkx'] = None\n"
+        "from addspec.cli import main\n"
+        "raise SystemExit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "analyze", "--points", str(pts)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    body = json.loads(proc.stdout)["body"]
+    assert body["loop"]["length"] == 4
+    assert body["max_zigzag_length"] == UNBOUNDED_BY_LOOP
 
 
 # ---------------------------------------------------------------------------
