@@ -6,8 +6,10 @@ has projections e_a and e_b, so
     <e_{a,b}, e_{u,v}>_rho = ft(mu, a-u)/2 + ft(nu, b-v)/2,
 
 which makes every Gram entry a two-term closed form.  General functions are
-supported only as piecewise polynomials integrated by fixed Gauss-Legendre
-rules sized to the largest frequency in play.
+supported only as piecewise polynomials integrated by Gauss-Legendre
+quadrature: one rule per overlap of a measure piece and a function piece,
+sized to the largest |freq| in the call, so a whole frame sum over many
+frequencies builds a handful of rules.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -213,10 +215,23 @@ def _gl_order(degree: int, cycles: float) -> int:
     return int(math.ceil(2.0 * cycles)) + degree + 16
 
 
-def measure_integral(m: IntervalUnionMeasure, fn: PiecewisePolynomial, freq=0.0) -> complex:
-    """Gauss-Legendre evaluation of  integral of fn(x) e^{2 pi i freq x} dm(x)."""
-    freq = float(freq)
-    total = 0j
+# frequencies per block of exponentials, so memory does not grow with their number
+FREQ_BLOCK = 256
+
+
+def measure_integral(m: IntervalUnionMeasure, fn: PiecewisePolynomial, freq=0.0):
+    """Gauss-Legendre evaluation of  integral of fn(x) e^{2 pi i freq x} dm(x).
+
+    ``freq`` is a scalar (a complex is returned) or an array of frequencies
+    (an array of the same shape is returned).  Each overlap of a measure
+    piece and a function piece gets one rule, sized to the largest |freq| in
+    the call; the polynomial is evaluated once at its nodes and the
+    exponentials are applied FREQ_BLOCK frequencies at a time.
+    """
+    freqs = np.asarray(freq, dtype=float)
+    flat = freqs.ravel()
+    top = float(np.max(np.abs(flat), initial=0.0))
+    total = np.zeros(flat.shape, dtype=complex)
     for ml, mr, w in m.pieces:
         dens = float(w) / float(mr - ml)
         for fl, fr, coeffs in fn.pieces:
@@ -226,43 +241,36 @@ def measure_integral(m: IntervalUnionMeasure, fn: PiecewisePolynomial, freq=0.0)
                 continue
             half = float(hi - lo) / 2.0
             mid = float(hi + lo) / 2.0
-            nodes, weights = _leggauss(_gl_order(len(coeffs) - 1, abs(freq) * 2 * half))
+            nodes, weights = _leggauss(_gl_order(len(coeffs) - 1, top * 2 * half))
             x = mid + half * nodes
-            vals = npoly.polyval(x, np.asarray(coeffs)) * np.exp(2j * np.pi * freq * x)
-            total += dens * half * np.dot(weights, vals)
-    return total
+            wp = dens * half * weights * npoly.polyval(x, np.asarray(coeffs))
+            for s in range(0, flat.size, FREQ_BLOCK):
+                block = flat[s : s + FREQ_BLOCK]
+                total[s : s + FREQ_BLOCK] += np.exp(2j * np.pi * np.outer(block, x)) @ wp
+    return complex(total[0]) if freqs.ndim == 0 else total.reshape(freqs.shape)
 
 
 def measure_norm_sq(m: IntervalUnionMeasure, fn: PiecewisePolynomial) -> float:
     """Integral of |fn|^2 dm, exact for polynomial pieces."""
-    total = 0.0
-    for ml, mr, w in m.pieces:
-        dens = float(w) / float(mr - ml)
-        for fl, fr, coeffs in fn.pieces:
-            lo = max(ml, fl)
-            hi = min(mr, fr)
-            if not lo < hi:
-                continue
-            c = np.asarray(coeffs)
-            sq = npoly.polymul(c, c.conjugate())
-            half = float(hi - lo) / 2.0
-            mid = float(hi + lo) / 2.0
-            nodes, weights = _leggauss(_gl_order(len(sq) - 1, 0.0))
-            vals = npoly.polyval(mid + half * nodes, sq)
-            total += dens * half * float(np.dot(weights, vals).real)
-    return total
+    sq = PiecewisePolynomial(
+        tuple(
+            (l, r, tuple(npoly.polymul(coeffs, np.conj(coeffs))))
+            for l, r, coeffs in fn.pieces
+        )
+    )
+    return measure_integral(m, sq, 0.0).real
 
 
-def pair_inner(
+def frame_coefficients(
     s: AdditiveSpace,
     fn_pair: Tuple[PiecewisePolynomial, PiecewisePolynomial],
-    p: ExponentPair,
-) -> complex:
-    """<F, e_{a,b}> in L^2(rho) for F given by its axis projections (f, g)."""
+    pairs: Sequence[ExponentPair],
+) -> np.ndarray:
+    """<F, e_{a,b}> in L^2(rho) for each pair, F given by its axis projections (f, g)."""
     f, g = fn_pair
-    return 0.5 * measure_integral(s.mu, f, -float(p.a)) + 0.5 * measure_integral(
-        s.nu, g, -float(p.b)
-    )
+    a = np.array([-float(p.a) for p in pairs])
+    b = np.array([-float(p.b) for p in pairs])
+    return 0.5 * measure_integral(s.mu, f, a) + 0.5 * measure_integral(s.nu, g, b)
 
 
 def pair_norm_sq(

@@ -60,8 +60,8 @@ class NonOverlapSpectrum:
 
 def nonoverlap_riesz_spectrum(m: IntervalUnionMeasure, base: Iterable) -> NonOverlapSpectrum:
     """Build the doubled spectrum; requires 0 outside the support of ``m``."""
-    m_lo, M_hi, min_abs = support_bounds(m)
-    if min_abs == 0:
+    m_lo, M_hi = support_bounds(m)
+    if m_lo == 0:
         raise OverlappingSupportError(
             "support contains 0; the non-overlap construction does not apply"
         )
@@ -95,32 +95,26 @@ def m_tau_eigenvalues(tau, x) -> Tuple[float, float]:
     return 2.0 - 2.0 * c, 2.0 + 2.0 * c
 
 
-def _antidiagonal_half_integers(N: int) -> ExponentSet:
-    half = Fraction(1, 2)
-    return ExponentSet.of(
-        ExponentPair(n * half, -n * half) for n in range(-N, N + 1)
-    )
-
-
 def l_space_onb(N: int) -> ExponentSet:
     """Antidiagonal half-integer truncation {(n/2, -n/2): |n| <= N}."""
     if N < 0:
         raise MalformedInputError("N must be non-negative")
-    return _antidiagonal_half_integers(int(N))
+    half = Fraction(1, 2)
+    return ExponentSet.of(
+        ExponentPair(n * half, -n * half) for n in range(-int(N), int(N) + 1)
+    )
 
 
 def mirror_spectrum(k: int, N: int) -> ExponentSet:
     """Antidiagonal truncation for the space with both components on [k, k+1].
 
-    The point set is {(l, -l): l in (1/2)Z, |l| <= N/2} for every k >= 1; its
-    orthogonality on the intended space is verified by the Gram identity
-    check, not assumed.
+    A validated alias of ``l_space_onb(N)``: the point set is the same for
+    every integer k >= 1, and its orthogonality on the intended space is
+    verified by the Gram identity check, not assumed.
     """
     if int(k) != k or k < 1:
         raise MalformedInputError("k must be an integer >= 1")
-    if N < 0:
-        raise MalformedInputError("N must be non-negative")
-    return _antidiagonal_half_integers(int(N))
+    return l_space_onb(N)
 
 
 def lev_style_set(q: int, depth: int) -> ExponentSet:

@@ -75,8 +75,6 @@ class ExponentSet:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise MalformedInputError(f"bad point entry: {item!r}")
             pts.append(ExponentPair(item[0], item[1]))
-        if len(set(pts)) != len(pts):
-            raise MalformedInputError("duplicate points in point file")
         return cls(tuple(pts))
 
 

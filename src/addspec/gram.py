@@ -21,7 +21,7 @@ from .additive_space import (
     PiecewisePolynomial,
     combination_norm_sq,
     exp_inner,
-    pair_inner,
+    frame_coefficients,
     pair_norm_sq,
     plus_space,
     support_intervals,
@@ -120,9 +120,6 @@ def riesz_section_certificate(
     s: AdditiveSpace,
     pairs: Sequence[ExponentPair],
     sizes: Sequence[int],
-    degenerate_tol: float = DEGENERATE_TOL,
-    floor_tol: float = STABILITY_FLOOR,
-    stability_rtol: float = STABILITY_RTOL,
 ) -> SectionCertificate:
     """Eigenvalue certificate over nested prefixes of ``pairs``.
 
@@ -143,7 +140,7 @@ def riesz_section_certificate(
         w = np.linalg.eigvalsh(full.entries[:n, :n])
         mins.append(float(w[0]))
         maxs.append(float(w[-1]))
-        if null_comb is None and w[0] < degenerate_tol:
+        if null_comb is None and w[0] < DEGENERATE_TOL:
             _, vecs = np.linalg.eigh(full.entries[:n, :n])
             v = vecs[:, 0]
             null_comb = FiniteCombination(
@@ -152,8 +149,8 @@ def riesz_section_certificate(
     floor = min(mins)
     if null_comb is not None:
         verdict = "degenerate"
-    elif mins[-1] >= floor_tol and (
-        len(mins) >= 2 and mins[-2] - mins[-1] <= stability_rtol * mins[-2]
+    elif mins[-1] >= STABILITY_FLOOR and (
+        len(mins) >= 2 and mins[-2] - mins[-1] <= STABILITY_RTOL * mins[-2]
     ):
         verdict = "riesz-consistent"
     else:
@@ -168,6 +165,16 @@ def riesz_section_certificate(
     )
 
 
+def _frame_sum_and_energy(
+    s: AdditiveSpace,
+    pairs: Sequence[ExponentPair],
+    test_fn: Tuple[PiecewisePolynomial, PiecewisePolynomial],
+) -> Tuple[float, float]:
+    """(sum over pairs of |<F, e_{a,b}>|^2, ||F||^2) for F = (f, g) on the axes."""
+    coeffs = frame_coefficients(s, test_fn, pairs)
+    return float(np.sum(np.abs(coeffs) ** 2)), pair_norm_sq(s, test_fn)
+
+
 def parseval_residual(
     s: AdditiveSpace,
     pairs: Sequence[ExponentPair],
@@ -178,9 +185,7 @@ def parseval_residual(
     For an orthonormal truncation this is the (non-negative) tail energy; for
     a non-orthonormal system it can take either sign.
     """
-    pairs = tuple(pairs)
-    energy = pair_norm_sq(s, test_fn)
-    frame_sum = sum(abs(pair_inner(s, test_fn, p)) ** 2 for p in pairs)
+    frame_sum, energy = _frame_sum_and_energy(s, tuple(pairs), test_fn)
     return energy - frame_sum
 
 
@@ -290,17 +295,13 @@ def collinear_failure_demo(a, N: int, g=None, seed: int = 0) -> CollinearFailure
         )
     )
     f = g_rescaled.negated()
-    lams = list(range(-int(N), int(N) + 1))
-    frame_sum = 0.0
-    for n in lams:
-        p = ExponentPair(n, a * n)
-        frame_sum += abs(pair_inner(s, (f, g), p)) ** 2
-    energy = pair_norm_sq(s, (f, g))
+    line = [ExponentPair(n, a * n) for n in range(-int(N), int(N) + 1)]
+    frame_sum, energy = _frame_sum_and_energy(s, line, (f, g))
     if energy <= 0:
         raise MalformedInputError("test function is numerically zero")
     return CollinearFailureReport(
         slope=a,
-        n_points=len(lams),
+        n_points=len(line),
         frame_sum=frame_sum,
         energy=energy,
         ratio=frame_sum / energy,

@@ -124,16 +124,13 @@ def fourier_transform(m: IntervalUnionMeasure, lam) -> complex:
     return out
 
 
-def support_bounds(m: IntervalUnionMeasure) -> Tuple[Fraction, Fraction, Fraction]:
+def support_bounds(m: IntervalUnionMeasure) -> Tuple[Fraction, Fraction]:
     """Smallest symmetric annulus [-M,-m] u [m,M] enclosing the support.
 
-    Returns (m_lo, M_hi, min_abs): inner radius, outer radius, and the
-    distance from 0 to the support (0 if the support contains 0).  The inner
-    radius coincides with min_abs; both are kept for call-site clarity.
+    Returns (m, M): the inner radius, which is the distance from 0 to the
+    support (0 if the support contains 0), and the outer radius.
     """
     M_hi = max(max(abs(l), abs(r)) for l, r, _ in m.pieces)
     if any(l <= 0 <= r for l, r, _ in m.pieces):
-        min_abs = Fraction(0)
-    else:
-        min_abs = min(min(abs(l), abs(r)) for l, r, _ in m.pieces)
-    return min_abs, M_hi, min_abs
+        return Fraction(0), M_hi
+    return min(min(abs(l), abs(r)) for l, r, _ in m.pieces), M_hi

@@ -28,6 +28,7 @@ from .measures import as_fraction
 FAMILY_TOL = 1e-12
 SCAN_ROOT_TOL = 1e-6
 EXCLUSION_RADIUS = 1e-3
+SCAN_BLOCK = 512  # grid rows per block of the residual scan
 
 
 def _phase_factor(two_t_plus_1: float, lam: np.ndarray) -> np.ndarray:
@@ -192,13 +193,11 @@ def scan_residual(
     box=((-4.0, 4.0), (-4.0, 4.0)),
     grid: int = 2000,
     families: Optional[Sequence[OrthSolutionFamily]] = None,
-    exclusion_radius: float = EXCLUSION_RADIUS,
-    block: int = 512,
 ) -> ScanResult:
     """Minimum residual over a cell-centered grid, outside family neighborhoods.
 
-    Family neighborhoods are closed sup-norm balls of the given radius; the
-    radius gets a one-part-in-10^9 slack so boundary ties resolve the same
+    Family neighborhoods are closed sup-norm balls of radius EXCLUSION_RADIUS;
+    the radius gets a one-part-in-10^9 slack so boundary ties resolve the same
     way regardless of rounding in the grid coordinates.  Cells on the
     coordinate axes (a zero frequency difference) are always skipped.  The
     reduction is a strict running minimum in row-major order, so the argmin
@@ -213,7 +212,7 @@ def scan_residual(
     (x0, x1), (y0, y1) = box
     if not (x1 > x0 and y1 > y0):
         raise MalformedInputError("degenerate scan box")
-    radius = exclusion_radius * (1 + 1e-9)
+    radius = EXCLUSION_RADIUS * (1 + 1e-9)
     l1s = x0 + (np.arange(grid) + 0.5) * (x1 - x0) / grid
     l2s = y0 + (np.arange(grid) + 0.5) * (y1 - y0) / grid
     w1 = float(2 * t + 1)
@@ -222,8 +221,8 @@ def scan_residual(
     axis2 = np.abs(l2s) < 1e-12
     best = math.inf
     arg = (math.nan, math.nan)
-    for s in range(0, grid, block):
-        chunk = l1s[s : s + block]
+    for s in range(0, grid, SCAN_BLOCK):
+        chunk = l1s[s : s + SCAN_BLOCK]
         r = np.abs(_phase_factor(w1, chunk)[:, None] + p2[None, :])
         mask = np.zeros(r.shape, dtype=bool)
         for fam in families:

@@ -25,6 +25,7 @@ from addspec.additive_space import (
     support_intervals,
 )
 from addspec.errors import MalformedInputError
+from addspec.measures import IntervalUnionMeasure
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -165,15 +166,36 @@ def test_piecewise_zero_extension():
     assert vals == pytest.approx([0, 1, 1, 1, 0])
 
 
+def _quad_integral(m, l, r, poly, freq):
+    """Integral of poly(x) e^{2 pi i freq x} dm(x) over [l, r] by adaptive quadrature."""
+    total = 0j
+    for ml, mr, w in m.pieces:
+        lo, hi = max(float(ml), l), min(float(mr), r)
+        if lo < hi:
+            dens = float(w) / float(mr - ml)
+            re, _ = quad(poly, lo, hi, weight="cos", wvar=2 * math.pi * freq, epsabs=1e-14)
+            im, _ = quad(poly, lo, hi, weight="sin", wvar=2 * math.pi * freq, epsabs=1e-14)
+            total += dens * (re + 1j * im)
+    return total
+
+
 def test_measure_integral_against_quad(unit_measure):
-    f = PiecewisePolynomial(((0, 1, (0.5, -1.0, 2.0)),))  # 0.5 - x + 2x^2
-    for freq in (0.0, 1.5, -7.25):
-        got = measure_integral(unit_measure, f, freq)
-        re, _ = quad(lambda x: (0.5 - x + 2 * x * x) * math.cos(2 * math.pi * freq * x),
-                     0, 1, epsabs=1e-13, limit=300)
-        im, _ = quad(lambda x: (0.5 - x + 2 * x * x) * math.sin(2 * math.pi * freq * x),
-                     0, 1, epsabs=1e-13, limit=300)
-        assert got == pytest.approx(re + 1j * im, abs=1e-11)
+    freqs = np.array([0.0, 1.5, -7.25, 31.0, -64.5, 133.0, -200.0, 200.0])
+    two_piece = IntervalUnionMeasure.from_pieces([("-1", "0", "1/4"), ("1/2", "3/2", "3/4")])
+    cases = [
+        (unit_measure, 0.0, 1.0, (0.5, -1.0, 2.0)),  # 0.5 - x + 2x^2 on the whole support
+        (two_piece, -0.5, 1.0, (1.0, 2.0, 0.0, -1.5)),  # 1 + 2x - 1.5x^3, part of each piece
+    ]
+    for m, l, r, coeffs in cases:
+        f = PiecewisePolynomial(((Fraction(l), Fraction(r), coeffs),))
+        poly = lambda x: sum(c * x**k for k, c in enumerate(coeffs))  # noqa: E731
+        scalars = np.array([measure_integral(m, f, freq) for freq in freqs])
+        for freq, got in zip(freqs, scalars):
+            assert isinstance(got, complex)
+            assert got == pytest.approx(_quad_integral(m, l, r, poly, freq), abs=1e-11)
+        batched = measure_integral(m, f, freqs)
+        assert batched.shape == freqs.shape
+        assert np.max(np.abs(batched - scalars)) < 1e-13
 
 
 def test_measure_norm_sq_exact(unit_measure):

@@ -24,9 +24,9 @@ from addspec import (
     staircase_zigzag,
     t_space,
 )
-from addspec.additive_space import support_intervals
+from addspec.additive_space import _leggauss, support_intervals
 from addspec.errors import MalformedInputError
-from addspec.gram import constant_pair, random_piecewise_linear
+from addspec.gram import constant_pair, monomial_pair, random_piecewise_linear
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -179,6 +179,16 @@ def test_parseval_failure_on_t_space_block():
     assert abs(r) > 0.5
 
 
+def test_parseval_builds_few_quadrature_rules():
+    # one rule per overlap for the whole frame sum, one for the energy
+    s = l_space()
+    pairs = l_space_onb(32).points
+    for fn in (constant_pair(s), monomial_pair(s, 1, 1), monomial_pair(s, 3, 3)):
+        _leggauss.cache_clear()
+        parseval_residual(s, pairs, fn)
+        assert _leggauss.cache_info().misses <= 4
+
+
 # ---------------------------------------------------------------------------
 # Alternating zigzag norms.
 # ---------------------------------------------------------------------------
@@ -230,6 +240,14 @@ def test_collinear_half_slope():
 def test_collinear_random_g():
     r = collinear_failure_demo(1, 16, g="random", seed=5)
     assert r.ratio < 1e-10
+
+
+def test_collinear_builds_few_quadrature_rules():
+    # 129 line frequencies share one rule per test function, plus the energy's
+    _leggauss.cache_clear()
+    collinear_failure_demo(1, 64)
+    collinear_failure_demo(1, 64, g="random", seed=0)
+    assert _leggauss.cache_info().misses <= 4
 
 
 def test_collinear_rejects_bad_slope():

@@ -68,16 +68,15 @@ def test_conjugate_symmetry_and_modulus(lam):
 
 
 def test_support_bounds_examples():
-    assert support_bounds(IntervalUnionMeasure.unit_interval(1)) == (1, 2, 1)
-    assert support_bounds(IntervalUnionMeasure.unit_interval(0)) == (0, 1, 0)
+    assert support_bounds(IntervalUnionMeasure.unit_interval(1)) == (1, 2)
+    assert support_bounds(IntervalUnionMeasure.unit_interval(0)) == (0, 1)
     m = IntervalUnionMeasure.from_pieces([("-2", "-1", "1/2"), ("3", "4", "1/2")])
-    assert support_bounds(m) == (1, 4, 1)
+    assert support_bounds(m) == (1, 4)
 
 
 def test_support_touching_zero_from_inside():
     m = IntervalUnionMeasure.from_pieces([("-1", "1", "1")])
-    lo, hi, dist = support_bounds(m)
-    assert (lo, hi, dist) == (0, 1, 0)
+    assert support_bounds(m) == (0, 1)
 
 
 def test_rejects_bad_measures():
