@@ -5,7 +5,11 @@ has projections e_a and e_b, so
 
     <e_{a,b}, e_{u,v}>_rho = ft(mu, a-u)/2 + ft(nu, b-v)/2,
 
-which makes every Gram entry a two-term closed form.  General functions are
+which makes every Gram entry a two-term closed form.  ``exp_inner`` is the
+scalar reference: it passes the exact Fraction differences, so the phase is
+reduced mod 2 exactly (see ``measures.fourier_transform``); ``gram.assemble``
+evaluates the same closed form for a whole section at once, with the phase
+split into exactly reduced per-point factors.  General functions are
 supported only as piecewise polynomials integrated by Gauss-Legendre
 quadrature: one rule per overlap of a measure piece and a function piece,
 sized to the largest |freq| in the call, so a whole frame sum over many
@@ -112,9 +116,7 @@ def exp_inner(s: AdditiveSpace, p: ExponentPair, q: ExponentPair) -> complex:
     """Inner product of two exponentials in L^2(rho); Hermitian, unit diagonal."""
     if p == q:
         return complex(1.0)
-    return 0.5 * fourier_transform(s.mu, float(p.a - q.a)) + 0.5 * fourier_transform(
-        s.nu, float(p.b - q.b)
-    )
+    return 0.5 * fourier_transform(s.mu, p.a - q.a) + 0.5 * fourier_transform(s.nu, p.b - q.b)
 
 
 def combination_norm_sq(s: AdditiveSpace, c: FiniteCombination) -> float:

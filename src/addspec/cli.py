@@ -143,7 +143,10 @@ def _cmd_gram(args: argparse.Namespace):
         "certificate": cert.to_body(),
     }
     if args.check == "identity":
-        dev = identity_deviation(assemble(space, pairs))
+        # reuse the certificate's matrix; it holds only the prefix its sizes
+        # need, so a ladder ending below n assembles every point once more
+        full = cert.gram if cert.gram.size == len(pairs) else assemble(space, pairs)
+        dev = identity_deviation(full)
         body["identity_check"] = {
             "max_abs_deviation": dev,
             "tolerance": IDENTITY_TOL,

@@ -29,6 +29,45 @@ def test_construct_then_gram_identity(tmp_path):
     assert report["body"]["certificate"]["verdict"] == "riesz-consistent"
 
 
+@pytest.mark.parametrize("sizes, assemblies", [(None, 1), ("5,17", 1), ("5,9", 2)])
+def test_gram_identity_check_reuses_certificate_matrix(tmp_path, monkeypatch, sizes, assemblies):
+    import addspec.cli
+    import addspec.gram
+
+    calls = []
+
+    def counted(assemble):
+        def wrapper(*args):
+            calls.append(len(args[1]))
+            return assemble(*args)
+
+        return wrapper
+
+    for mod in (addspec.cli, addspec.gram):
+        monkeypatch.setattr(mod, "assemble", counted(mod.assemble))
+    pts = tmp_path / "onb.json"
+    assert main(["construct", "l-onb", "--N", "8", "--out", str(pts)]) == 0
+    args = ["gram", "--space", "L", "--points", str(pts), "--check", "identity"]
+    code, report = run_json(tmp_path, args + (["--sizes", sizes] if sizes else []))
+    assert code == 0
+    assert report["body"]["identity_check"]["passed"] is True
+    # the certificate's matrix covers all 17 points unless the ladder stops short
+    assert len(calls) == assemblies
+
+
+def test_far_offset_mirror_identity(tmp_path):
+    pts = tmp_path / "mirror.json"
+    k = "1000000000"
+    assert main(["construct", "mirror", "--k", k, "--N", "64", "--out", str(pts)]) == 0
+    code, report = run_json(
+        tmp_path,
+        ["gram", "--space", f"Symmetric:t={k}", "--points", str(pts), "--check", "identity"],
+    )
+    assert code == 0
+    assert report["body"]["identity_check"]["passed"] is True
+    assert report["body"]["certificate"]["verdict"] == "riesz-consistent"
+
+
 def test_gram_parseval_family(tmp_path):
     pts = tmp_path / "onb.json"
     assert main(["construct", "l-onb", "--N", "8", "--out", str(pts)]) == 0

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,15 +19,25 @@ from addspec import (
     identity_deviation,
     l_space,
     l_space_onb,
+    mirror_spectrum,
     parseval_residual,
     plus_space,
     riesz_section_certificate,
+    space_from_name,
     staircase_zigzag,
+    symmetric_space,
     t_space,
 )
-from addspec.additive_space import _leggauss, support_intervals
+from addspec.additive_space import AdditiveSpace, _leggauss, support_intervals
 from addspec.errors import MalformedInputError
-from addspec.gram import constant_pair, monomial_pair, random_piecewise_linear
+from addspec.gram import (
+    ROW_BLOCK,
+    _axis_kernel,
+    constant_pair,
+    monomial_pair,
+    random_piecewise_linear,
+)
+from addspec.measures import IntervalUnionMeasure
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -56,6 +67,9 @@ def test_assemble_rejects_bad_input():
         assemble(l_space(), [])
     with pytest.raises(MalformedInputError):
         assemble(l_space(), l_space_onb(3).points, cap=4)
+    # coordinates whose differences overflow a float
+    with pytest.raises(MalformedInputError, match="float range"):
+        assemble(l_space(), [ExponentPair(0, 0), ExponentPair(10**308, 0)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -75,6 +89,112 @@ def test_assembled_matrix_is_hermitian_with_unit_diagonal(pts):
             assert g.entries[i, j] == pytest.approx(
                 exp_inner(s, pairs[i], pairs[j]), abs=1e-12
             )
+
+
+# ---------------------------------------------------------------------------
+# The vectorized kernel against the scalar reference exp_inner.
+# ---------------------------------------------------------------------------
+
+PRESETS = ["L", "Plus", "T", "Symmetric:t=-1/3", "Symmetric:t=2"]
+coords = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def interval_unions(draw):
+    """2-3 disjoint pieces with rational endpoints and weights summing to 1."""
+    k = draw(st.integers(2, 3))
+    ends = sorted(draw(st.sets(st.fractions(-5, 5, max_denominator=6), min_size=2 * k, max_size=2 * k)))
+    mass = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    return IntervalUnionMeasure.from_pieces(
+        (ends[2 * i], ends[2 * i + 1], Fraction(mass[i], sum(mass))) for i in range(k)
+    )
+
+
+spaces = st.one_of(
+    st.sampled_from(PRESETS).map(space_from_name),
+    st.builds(AdditiveSpace, interval_unions(), interval_unions()),
+)
+
+
+def assert_matches_reference(s, pairs, tol=1e-14):
+    g = assemble(s, pairs).entries
+    ref = np.array([[exp_inner(s, p, q) for q in pairs] for p in pairs])
+    assert np.max(np.abs(g - ref)) < tol
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=spaces, pts=st.sets(st.tuples(coords, coords), min_size=1, max_size=12))
+def test_assemble_matches_exp_inner(s, pts):
+    assert_matches_reference(s, [ExponentPair(a, b) for a, b in sorted(pts)])
+
+
+@pytest.mark.parametrize("k", [1, 10**3, 10**6, 10**9, 10**15])
+def test_mirror_identity_at_far_offsets(k):
+    # exactly orthonormal; a phase rounded before its reduction mod 2 loses
+    # about k * 1e-16 and fails from k = 10**6 on
+    g = assemble(symmetric_space(k), mirror_spectrum(k, 32).points)
+    assert identity_deviation(g) < 1e-14
+
+
+def test_numerators_past_int64_use_python_ints():
+    # common denominator ~1e27 (three distinct primes): numerators pass 2^62
+    primes = (998244353, 1000000007, 1000000009)
+    pairs = [
+        ExponentPair(Fraction(j, primes[j % 3]), Fraction(-2 * j + 1, primes[(j + 1) % 3]))
+        for j in range(-6, 7)
+    ]
+    pairs += [ExponentPair(pairs[0].a, 5), ExponentPair(7, pairs[1].b)]  # shared coordinates
+    for s in (t_space(), symmetric_space(10**9)):
+        assert _axis_kernel(s.mu, [p.a for p in pairs])[0].dtype == object
+        assert_matches_reference(s, pairs)
+
+
+def test_common_denominator_past_float_range():
+    # 150 distinct primes near 2^10: D has about 1500 bits and every numerator
+    # is far past int64, while the coordinates themselves are ordinary floats
+    primes = [p for p in range(600, 2400) if all(p % d for d in range(2, 50))][:150]
+    pairs = [ExponentPair(Fraction(j, p), Fraction(1 - j, p)) for j, p in enumerate(primes)]
+    s = symmetric_space(Fraction(-1, 3))
+    assert math.lcm(*primes).bit_length() > 1400
+    assert _axis_kernel(s.mu, [p.a for p in pairs])[0].dtype == object
+    assert_matches_reference(s, pairs)
+
+
+def test_int64_edge_differences_do_not_wrap():
+    # |numerator| just under 2^62 stays int64 with differences up to 2^63 - 2;
+    # one step further switches to Python ints
+    big = 2**62 - 1
+    below = [ExponentPair(big, 0), ExponentPair(-big, 1), ExponentPair(0, Fraction(1, 3))]
+    above = below + [ExponentPair(big + 1, 0)]
+    s = plus_space()
+    assert _axis_kernel(s.mu, [p.a for p in below])[0].dtype == np.int64
+    assert _axis_kernel(s.mu, [p.a for p in above])[0].dtype == object
+    for pairs in (below, above):
+        assert_matches_reference(s, pairs)
+
+
+@pytest.mark.parametrize("n", [5, ROW_BLOCK + 3, 2 * ROW_BLOCK + 1])
+def test_assembled_matrix_is_exactly_hermitian(n):
+    rng = np.random.default_rng(n)
+    pool = [(Fraction(int(x), 7), Fraction(int(y), 5)) for x, y in rng.integers(-40, 40, (3 * n, 2))]
+    pairs = [ExponentPair(a, b) for a, b in dict.fromkeys(pool)][:n]
+    split = IntervalUnionMeasure.from_pieces([("-2", "-1", "1/3"), ("1/2", "3", "2/3")])
+    g = assemble(AdditiveSpace(split, symmetric_space(Fraction(-1, 3)).nu), pairs).entries
+    assert np.all(np.diag(g) == 1.0)
+    assert np.array_equal(g, g.conj().T)
+
+
+@settings(max_examples=30, deadline=None)
+@given(s=spaces, xs=st.sets(coords, min_size=3, max_size=3), ys=st.sets(coords, min_size=3, max_size=3))
+def test_shared_coordinate_contributes_exactly_one_half(s, xs, ys):
+    # on a grid, an axis with equal coordinates adds exactly ft(m, 0)/2 = 1/2,
+    # so G[(a, b), (a, b')] is the same number for every a, and likewise by rows
+    xs, ys = sorted(xs), sorted(ys)
+    pairs = [ExponentPair(a, b) for a in xs for b in ys]
+    g = assemble(s, pairs).entries.reshape(3, 3, 3, 3)
+    for i in range(3):
+        assert np.array_equal(g[i, :, i, :], g[0, :, 0, :])
+        assert np.array_equal(g[:, i, :, i], g[:, 0, :, 0])
 
 
 def test_extremal_eigenvalues():

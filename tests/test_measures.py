@@ -92,6 +92,18 @@ def test_rejects_bad_measures():
         IntervalUnionMeasure.from_pieces([("0", "1", "-1")])
 
 
+@pytest.mark.parametrize("k", [0, 10**6, 10**9, 10**15])
+def test_exact_frequency_phase_far_from_origin(k):
+    # on [k, k+1] at lam = n/2 the phase pi*lam*(2k+1) is a multiple of pi/2,
+    # reduced exactly: the transform is i^(n(2k+1)) * sinc(n/2) to a few ulps
+    m = IntervalUnionMeasure.unit_interval(k)
+    for n in (1, 3, -5):
+        want = 1j ** (n * (2 * k + 1) % 4) * math.sin(math.pi * n / 2) / (math.pi * n / 2)
+        assert abs(fourier_transform(m, Fraction(n, 2)) - want) < 1e-15
+        assert fourier_transform(m, n / 2) == fourier_transform(m, Fraction(n, 2))
+    assert abs(fourier_transform(m, 7)) < 1e-15
+
+
 def test_rejects_non_finite_frequency(unit_measure):
     with pytest.raises(MalformedInputError):
         fourier_transform(unit_measure, float("inf"))
