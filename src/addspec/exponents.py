@@ -4,11 +4,15 @@ Points live on a grid of vertical and horizontal lines; zigzags are paths
 that alternate moves along those lines.  The core representation is the
 bipartite line-incidence graph (nodes = distinct lines, edges = points), so
 zigzag loops are graph cycles and loop-free sets give forests with unique
-paths.  The graph is a dict adjacency grown in insertion order; a union-find
-over its lines finds the first point whose two lines are already connected,
-which closes a loop through the unique forest path between them.  All
-coordinates are exact rationals: "same line" must never be a floating-point
-question.
+paths.  All coordinates are exact rationals: "same line" must never be a
+floating-point question.  An ``ExponentSet`` interns each distinct x and y
+coordinate once, keyed by the exact (numerator, denominator) of the
+normalised Fraction, as a small integer line id; multiplicities,
+projections, membership and the graph searches then work on ints and map
+back to points only for their output.  The incidence forest is grown once
+per set, in insertion order, and cached on it: a union-find over the line
+ids finds the first point whose two lines are already connected, which
+closes a loop through the unique forest path between them.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -26,6 +31,7 @@ from .errors import (
     NotAnSSequenceError,
     ZigzagLoopDetected,
 )
+from .measures import as_fraction
 
 UNBOUNDED_BY_LOOP = "unbounded-by-loop"
 
@@ -38,17 +44,49 @@ def _as_pair(p) -> ExponentPair:
     raise MalformedInputError(f"not an exponent pair: {p!r}")
 
 
+def _intern(values: Iterable[Fraction], lines: List[Fraction]):
+    """Line id of each value, keyed by its exact (numerator, denominator).
+
+    A key seen for the first time gets the next free id, ``len(lines)``, and
+    its value is appended to ``lines``.  Returns the ids and the key -> id
+    table.
+    """
+    table: Dict[Tuple[int, int], int] = {}
+    ids = []
+    for v in values:
+        key = (v.numerator, v.denominator)
+        i = table.get(key)
+        if i is None:
+            i = table[key] = len(lines)
+            lines.append(v)
+        ids.append(i)
+    return ids, table
+
+
 @dataclass(frozen=True)
 class ExponentSet:
-    """Finite, insertion-ordered set of exponent pairs without duplicates."""
+    """Finite, insertion-ordered set of exponent pairs without duplicates.
+
+    ``xid[k]`` and ``yid[k]`` are the line ids of ``points[k]``: x lines are
+    numbered from 0 in order of first use, y lines continue after them, and
+    ``lines[i]`` is the coordinate of line ``i``.
+    """
 
     points: Tuple[ExponentPair, ...]
 
     def __post_init__(self):
         pts = tuple(_as_pair(p) for p in self.points)
-        object.__setattr__(self, "points", pts)
-        if len(set(pts)) != len(pts):
+        lines: List[Fraction] = []
+        xid, x_table = _intern((p.a for p in pts), lines)
+        yid, y_table = _intern((p.b for p in pts), lines)
+        index = {key: k for k, key in enumerate(zip(xid, yid))}
+        if len(index) != len(pts):
             raise MalformedInputError("duplicate points in exponent set")
+        for name, value in (
+            ("points", pts), ("xid", xid), ("yid", yid), ("lines", lines),
+            ("_x_table", x_table), ("_y_table", y_table), ("_index", index),
+        ):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def of(cls, points: Iterable) -> "ExponentSet":
@@ -61,7 +99,19 @@ class ExponentSet:
         return iter(self.points)
 
     def __contains__(self, p):
-        return _as_pair(p) in set(self.points)
+        return self._position(p) is not None
+
+    def _position(self, p) -> Optional[int]:
+        """Index of ``p`` in ``points``, or None if it is not a member."""
+        p = _as_pair(p)
+        i = self._x_table.get((p.a.numerator, p.a.denominator))
+        j = self._y_table.get((p.b.numerator, p.b.denominator))
+        return self._index.get((i, j))
+
+    @cached_property
+    def _forest(self):
+        """``_grow_forest`` over every point, grown on first use and kept."""
+        return _grow_forest(self.xid, self.yid, len(self.lines))
 
     def to_json(self) -> list:
         return [[str(p.a), str(p.b)] for p in self.points]
@@ -70,11 +120,22 @@ class ExponentSet:
     def from_json(cls, data) -> "ExponentSet":
         if not isinstance(data, list):
             raise MalformedInputError("point set must be a JSON list of pairs")
+        parsed: Dict[str, Fraction] = {}
+
+        def coord(v):
+            # point files repeat each coordinate string on many points
+            if not isinstance(v, str):
+                return as_fraction(v)
+            f = parsed.get(v)
+            if f is None:
+                f = parsed[v] = as_fraction(v)
+            return f
+
         pts = []
         for item in data:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise MalformedInputError(f"bad point entry: {item!r}")
-            pts.append(ExponentPair(item[0], item[1]))
+            pts.append(ExponentPair(coord(item[0]), coord(item[1])))
         return cls(tuple(pts))
 
 
@@ -125,38 +186,38 @@ class ZigzagPath:
         return self.length > 0 and self.vertices[0] == self.vertices[-1]
 
 
-def _grow_forest(points: Iterable[ExponentPair]):
-    """Incidence forest of ``points``, grown in insertion order.
+def _grow_forest(xid: Sequence[int], yid: Sequence[int], n_lines: int):
+    """Incidence forest on line ids ``0 .. n_lines-1``, grown in edge order.
 
-    Returns (adj, closing): ``adj`` maps each line to its (line, point)
-    neighbours, and ``closing`` is the first point whose two lines are
-    already connected (it is left out of ``adj``), or None if there is none.
+    Edge ``k`` joins lines ``xid[k]`` and ``yid[k]``.  Returns (adj, closing):
+    ``adj[u]`` lists the (line, edge) neighbours of line ``u``, and
+    ``closing`` is the first edge whose two lines are already connected (it
+    is left out of ``adj``), or None if there is none.
     """
-    adj: dict = {}
-    root: dict = {}
+    adj: List[List[Tuple[int, int]]] = [[] for _ in range(n_lines)]
+    root = list(range(n_lines))
 
     def find(u):
-        while root.setdefault(u, u) != u:
+        while root[u] != u:
             root[u] = root[root[u]]
             u = root[u]
         return u
 
-    for p in points:
-        u, v = ("x", p.a), ("y", p.b)
+    for k, (u, v) in enumerate(zip(xid, yid)):
         ru, rv = find(u), find(v)
         if ru == rv:
-            return adj, p
+            return adj, k
         root[ru] = rv
-        adj.setdefault(u, []).append((v, p))
-        adj.setdefault(v, []).append((u, p))
+        adj[u].append((v, k))
+        adj[v].append((u, k))
     return adj, None
 
 
-def _bfs(adj: dict, src, dst=None) -> dict:
-    """Breadth-first tree from ``src``: node -> (parent, point, depth).
+def _bfs(adj, src: int, dst: Optional[int] = None) -> dict:
+    """Breadth-first tree from ``src``: line -> (parent, edge, depth).
 
     Entries are in visiting order, so after a full search the last one is a
-    farthest node; the search stops early once ``dst`` is reached.
+    farthest line; the search stops early once ``dst`` is reached.
     """
     tree = {src: (None, None, 0)}
     queue = deque([src])
@@ -164,33 +225,40 @@ def _bfs(adj: dict, src, dst=None) -> dict:
         u = queue.popleft()
         if u == dst:
             break
-        for v, p in adj[u]:
+        for v, k in adj[u]:
             if v not in tree:
-                tree[v] = (u, p, tree[u][2] + 1)
+                tree[v] = (u, k, tree[u][2] + 1)
                 queue.append(v)
     return tree
 
 
-def _close_loop(adj: dict, p: ExponentPair) -> ZigzagPath:
-    """The loop that ``p`` closes with the forest path between its lines."""
-    node, dst = ("x", p.a), ("y", p.b)
+def _close_loop(adj, xid, yid, points, k: int) -> ZigzagPath:
+    """The loop that edge ``k`` closes with the forest path between its lines.
+
+    ``xid``, ``yid`` and ``points`` are indexed by edge, as in ``_grow_forest``.
+    """
+    node, dst = xid[k], yid[k]
     tree = _bfs(adj, dst, node)
     pts = []
     while node != dst:
         node, q, _ = tree[node]
-        pts.append(q)
-    return ZigzagPath(tuple(pts) + (p, pts[0]))
+        pts.append(points[q])
+    return ZigzagPath(tuple(pts) + (points[k], pts[0]))
 
 
 def project(es: ExponentSet, axis: str) -> List[Fraction]:
     """Distinct axis coordinates, sorted."""
     if not es.points:
         raise MalformedInputError("empty exponent set")
+    n_x = len(es._x_table)
     if axis == "x":
-        return sorted({p.a for p in es.points})
-    if axis == "y":
-        return sorted({p.b for p in es.points})
-    raise MalformedInputError(f"axis must be 'x' or 'y', got {axis!r}")
+        lines = es.lines[:n_x]
+    elif axis == "y":
+        lines = es.lines[n_x:]
+    else:
+        raise MalformedInputError(f"axis must be 'x' or 'y', got {axis!r}")
+    # integer floors order most lines; Fractions are compared only on ties
+    return sorted(lines, key=lambda v: (v.numerator // v.denominator, v))
 
 
 def multiplicity(es: ExponentSet):
@@ -201,10 +269,14 @@ def multiplicity(es: ExponentSet):
     """
     if not es.points:
         raise MalformedInputError("empty exponent set")
-    per_x = Counter(p.a for p in es.points)
-    per_y = Counter(p.b for p in es.points)
+    per_x = Counter(es.xid)
+    per_y = Counter(es.yid)
     max_mult = max(max(per_x.values()), max(per_y.values()))
-    return max_mult, {"x": dict(per_x), "y": dict(per_y)}
+    lines = es.lines
+    return max_mult, {
+        "x": {lines[i]: c for i, c in per_x.items()},
+        "y": {lines[i]: c for i, c in per_y.items()},
+    }
 
 
 def find_zigzag_loop(es: ExponentSet) -> Optional[ZigzagPath]:
@@ -214,8 +286,10 @@ def find_zigzag_loop(es: ExponentSet) -> Optional[ZigzagPath]:
     lines are already connected by the points before it, and runs through
     the unique forest path between those lines.
     """
-    adj, closing = _grow_forest(es.points)
-    return None if closing is None else _close_loop(adj, closing)
+    adj, closing = es._forest
+    if closing is None:
+        return None
+    return _close_loop(adj, es.xid, es.yid, es.points, closing)
 
 
 def max_zigzag_length(es: ExponentSet) -> Union[int, str]:
@@ -226,12 +300,12 @@ def max_zigzag_length(es: ExponentSet) -> Union[int, str]:
     """
     if not es.points:
         raise MalformedInputError("empty exponent set")
-    adj, closing = _grow_forest(es.points)
+    adj, closing = es._forest
     if closing is not None:
         return UNBOUNDED_BY_LOOP
     best = 0
     seen = set()
-    for start in adj:
+    for start in range(len(adj)):
         if start in seen:
             continue
         comp = _bfs(adj, start)
@@ -256,34 +330,36 @@ def zigzag_distance_map(
     order = [_as_pair(p) for p in ordering]
     if not order:
         raise NotAnSSequenceError("empty ordering")
-    member = set(es.points)
-    if any(p not in member for p in order):
+    pos = [es._position(p) for p in order]
+    if None in pos:
         raise NotAnSSequenceError("ordering contains points outside the set")
-    if len(set(order)) != len(order):
+    if len(set(pos)) != len(pos):
         raise NotAnSSequenceError("ordering repeats a point")
+    xid = [es.xid[k] for k in pos]
+    yid = [es.yid[k] for k in pos]
 
-    f: Dict[ExponentPair, int] = {order[0]: 0}
-    first_on_x: Dict[Fraction, ExponentPair] = {order[0].a: order[0]}
-    first_on_y: Dict[Fraction, ExponentPair] = {order[0].b: order[0]}
+    dist = [0]
+    first_on_x = {xid[0]: 0}
+    first_on_y = {yid[0]: 0}
     # grown up to the first point whose lines are already joined, which along
     # a valid ordering is the first point with predecessors on both axes
-    prefix, _ = _grow_forest(order)
+    prefix, _ = _grow_forest(xid, yid, len(es.lines))
 
-    for p in order[1:]:
-        vpred = first_on_x.get(p.a)
-        hpred = first_on_y.get(p.b)
+    for m in range(1, len(order)):
+        vpred = first_on_x.get(xid[m])
+        hpred = first_on_y.get(yid[m])
         if vpred is not None and hpred is not None:
-            loop = _close_loop(prefix, p)
-            raise ZigzagLoopDetected(f"loop through {p}", loop=loop)
+            loop = _close_loop(prefix, xid, yid, order, m)
+            raise ZigzagLoopDetected(f"loop through {order[m]}", loop=loop)
         if vpred is not None:
-            f[p] = f[vpred] + 1
+            dist.append(dist[vpred] + 1)
         elif hpred is not None:
-            f[p] = f[hpred] + 1
+            dist.append(dist[hpred] + 1)
         else:
-            raise NotAnSSequenceError(f"{p} shares no line with an earlier point")
-        first_on_x.setdefault(p.a, p)
-        first_on_y.setdefault(p.b, p)
-    return f
+            raise NotAnSSequenceError(f"{order[m]} shares no line with an earlier point")
+        first_on_x.setdefault(xid[m], m)
+        first_on_y.setdefault(yid[m], m)
+    return dict(zip(order, dist))
 
 
 def is_zigzag_complete(subset: ExponentSet, es: ExponentSet) -> bool:
@@ -318,14 +394,9 @@ def lower_beurling_density(proj, window: float, anchors: int = 64) -> float:
     arr = np.asarray(vals)
     span = arr[-1] - arr[0]
     if span <= window or anchors == 1:
-        starts = [arr[0] + (span - window) / 2.0]
+        starts = np.array([arr[0] + (span - window) / 2.0])
     else:
         step = (span - window) / (anchors - 1)
-        starts = [arr[0] + i * step for i in range(anchors)]
-    best = float("inf")
-    for t in starts:
-        count = int(np.searchsorted(arr, t + window, side="left")) - int(
-            np.searchsorted(arr, t, side="left")
-        )
-        best = min(best, count / window)
-    return best
+        starts = arr[0] + np.arange(anchors) * step
+    lo, hi = np.searchsorted(arr, np.stack([starts, starts + window]), side="left")
+    return int((hi - lo).min()) / window

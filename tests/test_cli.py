@@ -197,6 +197,26 @@ def test_duplicate_points_rejected(tmp_path):
     assert main(["analyze", "--points", str(bad), "--out", str(out)]) == 3
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"a": 1}, "point set must be a JSON list of pairs"),
+        ([["1"]], "bad point entry: ['1']"),
+        ([["x", "1"]], "not a rational: 'x'"),
+        ([["1/0", "1"]], "not a rational: '1/0'"),
+        ([[[1], "1"]], "not a rational: [1]"),
+        ([[float("nan"), "1"]], "not a finite rational: nan"),
+        ([["1/2", "1"], ["2/4", "1"]], "duplicate points in exponent set"),
+    ],
+)
+def test_point_file_error_messages(tmp_path, data, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, err = run_json(tmp_path, ["analyze", "--points", str(bad)], name="err.json")
+    assert code == 3
+    assert err == {"error": {"code": "malformed-input", "message": message}}
+
+
 def test_overlapping_support_exit_code(tmp_path):
     m = tmp_path / "m.json"
     m.write_text(json.dumps([{"left": "0", "right": "1", "weight": "1"}]))

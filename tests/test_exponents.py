@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import addspec
@@ -27,6 +28,8 @@ from addspec import (
     staircase_zigzag,
     zigzag_distance_map,
 )
+from addspec import exponents
+from addspec.cli import main
 from addspec.errors import (
     MalformedInputError,
     NotAnSSequenceError,
@@ -316,6 +319,133 @@ def test_cli_analyze_runs_without_networkx(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Interned line ids against Fraction-keyed references.
+# ---------------------------------------------------------------------------
+
+
+def fraction_keyed_loop(points):
+    """The loop witness grown on lines keyed by ("x"|"y", Fraction)."""
+    adj, root = {}, {}
+
+    def find(u):
+        while root.setdefault(u, u) != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        return u
+
+    for p in points:
+        u, v = ("x", p.a), ("y", p.b)
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            break
+        root[ru] = rv
+        adj.setdefault(u, []).append((v, p))
+        adj.setdefault(v, []).append((u, p))
+    else:
+        return None
+    # breadth-first tree from the closing point's y line to its x line
+    tree = {v: (None, None)}
+    queue = [v]
+    while u not in tree:
+        w = queue.pop(0)
+        for t, q in adj[w]:
+            if t not in tree:
+                tree[t] = (w, q)
+                queue.append(t)
+    pts = []
+    while u != v:
+        u, q = tree[u]
+        pts.append(q)
+    return tuple(pts) + (p, pts[0])
+
+
+def spelled(draw, v):
+    """One of the JSON spellings of the rational v: "1/2", "2/4", 2, "4/2" ..."""
+    k = draw(st.integers(1, 4))
+    if v.denominator == 1 and k == 1 and draw(st.booleans()):
+        return v.numerator
+    return str(v) if k == 1 else f"{v.numerator * k}/{v.denominator * k}"
+
+
+@st.composite
+def spelled_point_sets(draw):
+    line = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2]))
+    pts = draw(st.lists(st.tuples(line, line), min_size=1, max_size=12, unique=True))
+    return pts, [[spelled(draw, a), spelled(draw, b)] for a, b in pts]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=spelled_point_sets())
+def test_line_ids_match_fraction_keyed_references(data):
+    pts, text = data
+    es = ExponentSet.from_json(text)
+    ref = [ExponentPair(a, b) for a, b in pts]
+    assert es.points == tuple(ref)
+    per_x, per_y = Counter(p.a for p in ref), Counter(p.b for p in ref)
+    assert multiplicity(es) == (
+        max(max(per_x.values()), max(per_y.values())),
+        {"x": dict(per_x), "y": dict(per_y)},
+    )
+    assert project(es, "x") == sorted(per_x)
+    assert project(es, "y") == sorted(per_y)
+    loop = find_zigzag_loop(es)
+    witness = fraction_keyed_loop(ref)
+    assert (None if loop is None else loop.vertices) == witness
+    if witness is not None:
+        assert max_zigzag_length(es) == UNBOUNDED_BY_LOOP
+    else:
+        longest = max(
+            (max(brute_alternating_paths(ref, p, q), default=0)
+             for i, p in enumerate(ref) for q in ref[i + 1:]),
+            default=0,
+        )
+        assert max_zigzag_length(es) == longest
+    assert all(spelling in es for spelling in text)
+    assert (99, 0) not in es and (pts[0][0], 99) not in es and (99, pts[0][1]) not in es
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (["1/2", "1"], ["2/4", "1"]),
+        (["2", "-3/6"], ["4/2", "-1/2"]),
+        ([2, "1"], ["6/3", "1"]),
+    ],
+)
+def test_points_spelled_differently_are_duplicates(pair):
+    with pytest.raises(MalformedInputError, match="duplicate points in exponent set"):
+        ExponentSet.from_json(list(pair))
+    with pytest.raises(MalformedInputError, match="duplicate points in exponent set"):
+        ExponentSet.of(pair)
+
+
+def test_membership_by_value_and_malformed_pairs():
+    es = ExponentSet.of([("1/2", "-1/2")])
+    assert ("2/4", "-3/6") in es
+    with pytest.raises(MalformedInputError):
+        ("1", "2", "3") in es
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [[["1", "1"], ["1", "3"], ["3", "1"], ["3", "3"]], [["0", "0"], ["0", "1"], ["2", "1"]]],
+)
+def test_analyze_grows_the_forest_once(tmp_path, monkeypatch, pts):
+    calls = []
+    grow = exponents._grow_forest
+
+    def counted(*args):
+        calls.append(args)
+        return grow(*args)
+
+    monkeypatch.setattr(exponents, "_grow_forest", counted)
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(pts))
+    assert main(["analyze", "--points", str(path), "--out", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
 # Distance map along an accumulation ordering.
 # ---------------------------------------------------------------------------
 
@@ -398,6 +528,40 @@ def test_density_half_lattice():
     proj = [Fraction(1, 2) * k for k in range(-100, 101)]
     v = lower_beurling_density(proj, 20)
     assert abs(v - 2.0) <= 1 / 20 + 1e-12
+
+
+def per_anchor_density(proj, window, anchors=64):
+    """The density estimate with two searches per anchor in a Python loop."""
+    arr = np.asarray(sorted(float(x) for x in proj))
+    window = float(window)
+    span = arr[-1] - arr[0]
+    if span <= window or anchors == 1:
+        starts = [arr[0] + (span - window) / 2.0]
+    else:
+        step = (span - window) / (anchors - 1)
+        starts = [arr[0] + i * step for i in range(anchors)]
+    best = float("inf")
+    for t in starts:
+        count = int(np.searchsorted(arr, t + window, side="left")) - int(
+            np.searchsorted(arr, t, side="left")
+        )
+        best = min(best, count / window)
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    proj=st.lists(st.fractions(min_value=-60, max_value=60, max_denominator=7), min_size=1, max_size=50),
+    window=st.floats(min_value=1e-3, max_value=200),
+    anchors=st.integers(1, 100),
+)
+@example(proj=[0, 1, 5], window=10.0, anchors=64)  # span <= window
+@example(proj=[0, 1, 5, 30], window=2.0, anchors=1)
+@example(proj=[Fraction(1, 3)], window=1.0, anchors=5)
+def test_density_matches_per_anchor_loop(proj, window, anchors):
+    got = lower_beurling_density(proj, window, anchors)
+    assert type(got) is float
+    assert got == per_anchor_density(proj, window, anchors)
 
 
 def test_density_empty_and_errors():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,7 @@ from addspec.additive_space import AdditiveSpace, _leggauss, support_intervals
 from addspec.errors import MalformedInputError
 from addspec.gram import (
     ROW_BLOCK,
+    GramMatrix,
     _axis_kernel,
     constant_pair,
     monomial_pair,
@@ -182,6 +184,34 @@ def test_assembled_matrix_is_exactly_hermitian(n):
     g = assemble(AdditiveSpace(split, symmetric_space(Fraction(-1, 3)).nu), pairs).entries
     assert np.all(np.diag(g) == 1.0)
     assert np.array_equal(g, g.conj().T)
+
+
+@pytest.mark.parametrize("n", [1, 5, ROW_BLOCK, ROW_BLOCK + 3, 2 * ROW_BLOCK + 1])
+def test_identity_deviation_equals_whole_matrix_maximum(n):
+    rng = np.random.default_rng(n)
+    pool = [(Fraction(int(x), 3), Fraction(int(y), 4)) for x, y in rng.integers(-9, 9, (3 * n, 2))]
+    pairs = [ExponentPair(a, b) for a, b in dict.fromkeys(pool)][:n]
+    for s in (l_space(), t_space(), symmetric_space(10**6)):
+        g = assemble(s, pairs)
+        assert identity_deviation(g) == float(np.max(np.abs(g.entries - np.eye(n))))
+    # the largest deviation on the diagonal, and a NaN entry, are both kept
+    entries = g.entries.copy()
+    entries[n - 1, n - 1] = 3 - 1j
+    g = GramMatrix(g.pairs, entries)
+    assert identity_deviation(g) == float(np.max(np.abs(entries - np.eye(n)))) == abs(2 - 1j)
+    entries[0, n - 1] = np.nan
+    assert math.isnan(identity_deviation(GramMatrix(g.pairs, entries)))
+
+
+def test_identity_deviation_forms_no_full_temporary():
+    g = assemble(l_space(), l_space_onb(511).points)  # n = 1023, 16 MiB
+    tracemalloc.start()
+    try:
+        identity_deviation(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.entries.nbytes / 8
 
 
 @settings(max_examples=30, deadline=None)
