@@ -4,72 +4,108 @@ Component measures live on the coordinate axes of the plane; the toolkit
 assembles exact Gram sections, runs the zigzag combinatorics that obstruct
 Riesz bases, builds the known explicit spectra, and solves or scans the
 orthogonality constraint for interval components.
+
+The names below are imported from their modules on first use, so
+``import addspec`` loads no numpy and ``from addspec import ExponentSet``
+loads only the exact-arithmetic modules.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .additive_space import (
-    AdditiveSpace,
-    ExponentPair,
-    FiniteCombination,
-    PiecewisePolynomial,
-    combination_norm_sq,
-    exp_inner,
-    l_space,
-    plus_space,
-    projection_coefficients,
-    space_from_name,
-    symmetric_space,
-    t_space,
-)
-from .constructions import (
-    NonOverlapSpectrum,
-    integer_base,
-    l_space_onb,
-    lev_style_set,
-    m_tau_eigenvalues,
-    mirror_spectrum,
-    nonoverlap_riesz_spectrum,
-    staircase_zigzag,
-)
-from .errors import (
-    MalformedInputError,
-    MultiplicityOneViolation,
-    NotAnSSequenceError,
-    OverlappingSupportError,
-    ToolkitError,
-    UnsolvedCaseError,
-    ZigzagLoopDetected,
-)
-from .exponents import (
-    UNBOUNDED_BY_LOOP,
-    ExponentSet,
-    ZigzagPath,
-    find_zigzag_loop,
-    is_zigzag_complete,
-    lower_beurling_density,
-    max_zigzag_length,
-    multiplicity,
-    project,
-    zigzag_distance_map,
-)
-from .gram import (
-    GramMatrix,
-    SectionCertificate,
-    alternating_zigzag_norm,
-    assemble,
-    collinear_failure_demo,
-    extremal_eigenvalues,
-    identity_deviation,
-    parseval_residual,
-    riesz_section_certificate,
-)
-from .measures import IntervalUnionMeasure, fourier_transform, support_bounds
-from .ortho_solver import (
-    OrthSolutionFamily,
-    classify_case,
-    classify_spectrum_candidates,
-    residual,
-    scan_residual,
-    solve_families,
-)
+_EXPORTS = {
+    "additive_space": (
+        "AdditiveSpace",
+        "FiniteCombination",
+        "PiecewisePolynomial",
+        "combination_norm_sq",
+        "exp_inner",
+        "l_space",
+        "plus_space",
+        "projection_coefficients",
+        "space_from_name",
+        "symmetric_space",
+        "t_space",
+    ),
+    "constructions": (
+        "NonOverlapSpectrum",
+        "integer_base",
+        "l_space_onb",
+        "lev_style_set",
+        "m_tau_eigenvalues",
+        "mirror_spectrum",
+        "nonoverlap_riesz_spectrum",
+        "staircase_zigzag",
+    ),
+    "errors": (
+        "MalformedInputError",
+        "MultiplicityOneViolation",
+        "NotAnSSequenceError",
+        "OverlappingSupportError",
+        "ToolkitError",
+        "UnsolvedCaseError",
+        "ZigzagLoopDetected",
+    ),
+    "exponents": (
+        "UNBOUNDED_BY_LOOP",
+        "ExponentPair",
+        "ExponentSet",
+        "ZigzagPath",
+        "find_zigzag_loop",
+        "is_zigzag_complete",
+        "lower_beurling_density",
+        "max_zigzag_length",
+        "multiplicity",
+        "project",
+        "zigzag_distance_map",
+    ),
+    "gram": (
+        "GramMatrix",
+        "SectionCertificate",
+        "alternating_zigzag_norm",
+        "assemble",
+        "collinear_failure_demo",
+        "extremal_eigenvalues",
+        "identity_deviation",
+        "parseval_residual",
+        "riesz_section_certificate",
+    ),
+    "measures": ("IntervalUnionMeasure", "fourier_transform", "support_bounds"),
+    "ortho_solver": (
+        "OrthSolutionFamily",
+        "classify_case",
+        "classify_spectrum_candidates",
+        "residual",
+        "scan_residual",
+        "solve_families",
+    ),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def _lazy_getattr(namespace: dict, exports: dict):
+    """A module ``__getattr__`` over ``exports`` (module -> names).
+
+    Looking up a listed name that is not bound yet imports its ``addspec``
+    module and binds the name in ``namespace``, the module's globals, so
+    later lookups are plain global reads.
+    """
+    home = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name):
+        module = home.get(name)
+        if module is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(f"{__name__}.{module}"), name)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy_getattr(globals(), _EXPORTS)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

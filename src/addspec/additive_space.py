@@ -14,6 +14,10 @@ supported only as piecewise polynomials integrated by Gauss-Legendre
 quadrature: one rule per overlap of a measure piece and a function piece,
 sized to the largest |freq| in the call, so a whole frame sum over many
 frequencies builds a handful of rules.
+
+The exponent pairs themselves, ``ExponentPair``, are defined in ``exponents``
+(which needs no numpy) and imported here, so
+``addspec.additive_space.ExponentPair`` names the same class.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import MalformedInputError
+from .exponents import ExponentPair
 from .measures import IntervalUnionMeasure, as_fraction, fourier_transform
 
 
@@ -76,21 +81,6 @@ def space_from_name(name: str) -> AdditiveSpace:
     if name.startswith("Symmetric:t="):
         return symmetric_space(as_fraction(name[len("Symmetric:t="):]))
     raise MalformedInputError(f"unknown space preset {name!r}")
-
-
-@dataclass(frozen=True)
-class ExponentPair:
-    """A frequency pair with exact rational coordinates."""
-
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_fraction(self.a))
-        object.__setattr__(self, "b", as_fraction(self.b))
-
-    def __repr__(self):
-        return f"({self.a}, {self.b})"
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Tuple
 
-from .additive_space import ExponentPair
 from .errors import MalformedInputError, OverlappingSupportError
-from .exponents import ExponentSet, ZigzagPath
+from .exponents import ExponentPair, ExponentSet, ZigzagPath
 from .measures import IntervalUnionMeasure, as_fraction, support_bounds
 
 

@@ -13,19 +13,22 @@ back to points only for their output.  The incidence forest is grown once
 per set, in insertion order, and cached on it: a union-find over the line
 ids finds the first point whose two lines are already connected, which
 closes a loop through the unique forest path between them.
+
+``ExponentPair``, the exact frequency pair that every layer shares, is
+defined here rather than beside the inner products in ``additive_space``, so
+this module needs only the standard library and ``analyze`` runs without
+numpy.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from .additive_space import ExponentPair
 from .errors import (
     MalformedInputError,
     NotAnSSequenceError,
@@ -36,6 +39,30 @@ from .measures import as_fraction
 UNBOUNDED_BY_LOOP = "unbounded-by-loop"
 
 
+@dataclass(frozen=True)
+class ExponentPair:
+    """A frequency pair with exact rational coordinates."""
+
+    a: Fraction
+    b: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", as_fraction(self.a))
+        object.__setattr__(self, "b", as_fraction(self.b))
+
+    def __repr__(self):
+        return f"({self.a}, {self.b})"
+
+    @classmethod
+    def _exact(cls, a: Fraction, b: Fraction) -> "ExponentPair":
+        """The pair (a, b) of coordinates that are already Fractions."""
+        p = object.__new__(cls)
+        fields = p.__dict__
+        fields["a"] = a
+        fields["b"] = b
+        return p
+
+
 def _as_pair(p) -> ExponentPair:
     if isinstance(p, ExponentPair):
         return p
@@ -44,23 +71,40 @@ def _as_pair(p) -> ExponentPair:
     raise MalformedInputError(f"not an exponent pair: {p!r}")
 
 
-def _intern(values: Iterable[Fraction], lines: List[Fraction]):
-    """Line id of each value, keyed by its exact (numerator, denominator).
+def _interner(lines: List[Fraction], parsed: Dict[str, Fraction]):
+    """Line ids of one axis: returns ``(line_id, table)``.
 
-    A key seen for the first time gets the next free id, ``len(lines)``, and
-    its value is appended to ``lines``.  Returns the ids and the key -> id
-    table.
+    ``line_id(v)`` is the id of coordinate ``v`` (anything ``as_fraction``
+    takes), keyed in ``table`` by the exact (numerator, denominator) of its
+    value, so "1/2" and "2/4" land on one line.  A key seen for the first
+    time gets the next free id, ``len(lines)``, and its value is appended to
+    ``lines``.  Point files repeat each coordinate string on many points, so
+    a string this axis has seen maps straight to its id, and a string is
+    parsed once into ``parsed``, which both axes of a set may share.
     """
     table: Dict[Tuple[int, int], int] = {}
-    ids = []
-    for v in values:
-        key = (v.numerator, v.denominator)
+    seen: Dict[str, int] = {}
+
+    def exact_id(f: Fraction) -> int:
+        key = (f.numerator, f.denominator)
         i = table.get(key)
         if i is None:
             i = table[key] = len(lines)
-            lines.append(v)
-        ids.append(i)
-    return ids, table
+            lines.append(f)
+        return i
+
+    def line_id(v) -> int:
+        if not isinstance(v, str):
+            return exact_id(as_fraction(v))
+        i = seen.get(v)
+        if i is None:
+            f = parsed.get(v)
+            if f is None:
+                f = parsed[v] = as_fraction(v)
+            i = seen[v] = exact_id(f)
+        return i
+
+    return line_id, table
 
 
 @dataclass(frozen=True)
@@ -77,13 +121,18 @@ class ExponentSet:
     def __post_init__(self):
         pts = tuple(_as_pair(p) for p in self.points)
         lines: List[Fraction] = []
-        xid, x_table = _intern((p.a for p in pts), lines)
-        yid, y_table = _intern((p.b for p in pts), lines)
+        x_id, x_table = _interner(lines, {})
+        xid = [x_id(p.a) for p in pts]
+        y_id, y_table = _interner(lines, {})
+        yid = [y_id(p.b) for p in pts]
+        self._store(pts, xid, yid, lines, x_table, y_table)
+
+    def _store(self, points, xid, yid, lines, x_table, y_table):
         index = {key: k for k, key in enumerate(zip(xid, yid))}
-        if len(index) != len(pts):
+        if len(index) != len(points):
             raise MalformedInputError("duplicate points in exponent set")
         for name, value in (
-            ("points", pts), ("xid", xid), ("yid", yid), ("lines", lines),
+            ("points", points), ("xid", xid), ("yid", yid), ("lines", lines),
             ("_x_table", x_table), ("_y_table", y_table), ("_index", index),
         ):
             object.__setattr__(self, name, value)
@@ -120,23 +169,25 @@ class ExponentSet:
     def from_json(cls, data) -> "ExponentSet":
         if not isinstance(data, list):
             raise MalformedInputError("point set must be a JSON list of pairs")
+        x_lines: List[Fraction] = []
+        y_lines: List[Fraction] = []
         parsed: Dict[str, Fraction] = {}
-
-        def coord(v):
-            # point files repeat each coordinate string on many points
-            if not isinstance(v, str):
-                return as_fraction(v)
-            f = parsed.get(v)
-            if f is None:
-                f = parsed[v] = as_fraction(v)
-            return f
-
-        pts = []
+        x_id, x_table = _interner(x_lines, parsed)
+        y_id, y_table = _interner(y_lines, parsed)
+        xid, yid = [], []
         for item in data:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise MalformedInputError(f"bad point entry: {item!r}")
-            pts.append(ExponentPair(coord(item[0]), coord(item[1])))
-        return cls(tuple(pts))
+            xid.append(x_id(item[0]))
+            yid.append(y_id(item[1]))
+        # number the y lines after the x lines, as __post_init__ does
+        n_x = len(x_lines)
+        yid = [n_x + j for j in yid]
+        lines = x_lines + y_lines
+        points = tuple(map(ExponentPair._exact, [lines[i] for i in xid], [lines[j] for j in yid]))
+        es = object.__new__(cls)
+        es._store(points, xid, yid, lines, x_table, {key: n_x + j for key, j in y_table.items()})
+        return es
 
 
 @dataclass(frozen=True)
@@ -391,12 +442,10 @@ def lower_beurling_density(proj, window: float, anchors: int = 64) -> float:
         raise MalformedInputError("window must be positive")
     if anchors < 1:
         raise MalformedInputError("need at least one anchor")
-    arr = np.asarray(vals)
-    span = arr[-1] - arr[0]
+    span = vals[-1] - vals[0]
     if span <= window or anchors == 1:
-        starts = np.array([arr[0] + (span - window) / 2.0])
+        starts = [vals[0] + (span - window) / 2.0]
     else:
         step = (span - window) / (anchors - 1)
-        starts = arr[0] + np.arange(anchors) * step
-    lo, hi = np.searchsorted(arr, np.stack([starts, starts + window]), side="left")
-    return int((hi - lo).min()) / window
+        starts = [vals[0] + i * step for i in range(anchors)]
+    return min(bisect_left(vals, t + window) - bisect_left(vals, t) for t in starts) / window

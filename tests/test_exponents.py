@@ -296,26 +296,86 @@ def test_loop_witness_is_the_first_loop_completed():
     assert find_zigzag_loop(ExponentSet.of(hexagon + second)).length == 6
 
 
-def test_cli_analyze_runs_without_networkx(tmp_path):
-    pts = tmp_path / "rect.json"
-    pts.write_text(json.dumps([["1", "1"], ["1", "3"], ["3", "1"], ["3", "3"]]))
+def fresh_python(script, *args):
+    """Run ``script`` in a fresh interpreter that imports this checkout's addspec."""
     src = str(Path(addspec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])
     ))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_cli_analyze_runs_without_networkx(tmp_path):
+    pts = tmp_path / "rect.json"
+    pts.write_text(json.dumps([["1", "1"], ["1", "3"], ["3", "1"], ["3", "3"]]))
     script = (
         "import sys; sys.modules['networkx'] = None\n"
         "from addspec.cli import main\n"
         "raise SystemExit(main(sys.argv[1:]))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "analyze", "--points", str(pts)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = fresh_python(script, "analyze", "--points", str(pts))
     assert proc.returncode == 0, proc.stderr
     body = json.loads(proc.stdout)["body"]
     assert body["loop"]["length"] == 4
     assert body["max_zigzag_length"] == UNBOUNDED_BY_LOOP
+
+
+def test_cli_analyze_and_construct_run_without_numpy(tmp_path):
+    rect = tmp_path / "rect.json"
+    rect.write_text(json.dumps([["1", "1"], ["1", "3/2"], ["3", "1"], ["6/2", "3/2"], ["5", "-2"]]))
+    stairs = tmp_path / "stairs.json"
+    stairs.write_text(json.dumps(ExponentSet.of(staircase_zigzag(60, start=("-1/3", 2)).vertices).to_json()))
+    lev = tmp_path / "lev.json"
+    lev.write_text(json.dumps(lev_style_set(3, 40).to_json()))
+    commands = [
+        ["analyze", "--points", str(rect)],
+        ["analyze", "--points", str(stairs), "--window", "7", "--anchors", "9"],
+        ["analyze", "--points", str(lev)],
+        ["construct", "lev", "--q", "3", "--depth", "40"],
+    ]
+    script = (
+        "import json, sys; sys.modules['numpy'] = None\n"
+        "from addspec.cli import main\n"
+        "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    if main(argv + ['--out', f'{sys.argv[2]}/blocked_{i}.json']):\n"
+        "        raise SystemExit(f'{argv} failed')\n"
+    )
+    proc = fresh_python(script, json.dumps(commands), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+
+    def body(path):
+        out = json.loads(path.read_text())
+        return out["body"] if isinstance(out, dict) else out
+
+    for i, argv in enumerate(commands):
+        assert main(argv + ["--out", str(tmp_path / f"normal_{i}.json")]) == 0
+        assert body(tmp_path / f"blocked_{i}.json") == body(tmp_path / f"normal_{i}.json")
+    assert body(tmp_path / "blocked_0.json")["loop"]["length"] == 4
+    assert body(tmp_path / "blocked_1.json")["max_zigzag_length"] == 60
+    assert body(tmp_path / "blocked_3.json") == lev_style_set(3, 40).to_json()
+
+
+def test_import_loads_no_numpy():
+    proc = fresh_python(
+        "import sys, addspec, addspec.cli\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_package_exports_resolve_on_first_use():
+    from addspec import additive_space
+
+    for name in addspec.__all__:
+        assert name in dir(addspec)
+        assert getattr(addspec, name) is not None
+    assert addspec.ExponentPair is additive_space.ExponentPair is exponents.ExponentPair
+    with pytest.raises(AttributeError, match="no_such_name"):
+        addspec.no_such_name
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +441,9 @@ def test_line_ids_match_fraction_keyed_references(data):
     es = ExponentSet.from_json(text)
     ref = [ExponentPair(a, b) for a, b in pts]
     assert es.points == tuple(ref)
+    # from_json numbers the lines itself; it must match the constructor
+    built = ExponentSet.of(ref)
+    assert (es.xid, es.yid, es.lines) == (built.xid, built.yid, built.lines)
     per_x, per_y = Counter(p.a for p in ref), Counter(p.b for p in ref)
     assert multiplicity(es) == (
         max(max(per_x.values()), max(per_y.values())),
@@ -562,6 +625,46 @@ def test_density_matches_per_anchor_loop(proj, window, anchors):
     got = lower_beurling_density(proj, window, anchors)
     assert type(got) is float
     assert got == per_anchor_density(proj, window, anchors)
+
+
+def searchsorted_density(proj, window, anchors):
+    """The density estimate with all anchors in one vectorized searchsorted."""
+    arr = np.asarray(sorted(float(x) for x in proj))
+    span = arr[-1] - arr[0]
+    if span <= window or anchors == 1:
+        starts = np.array([arr[0] + (span - window) / 2.0])
+    else:
+        step = (span - window) / (anchors - 1)
+        starts = arr[0] + np.arange(anchors) * step
+    lo, hi = np.searchsorted(arr, np.stack([starts, starts + window]), side="left")
+    return int((hi - lo).min()) / window
+
+
+@st.composite
+def projections(draw):
+    """Coordinates with negatives, large denominators and repeated values."""
+    values = draw(st.lists(
+        st.fractions(min_value=-60, max_value=60, max_denominator=7)
+        | st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**15),
+        min_size=1, max_size=40,
+    ))
+    return values + draw(st.lists(st.sampled_from(values), max_size=20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    proj=projections(),
+    window=st.floats(min_value=1e-6, max_value=1e7),
+    anchors=st.integers(1, 200),
+)
+@example(proj=[1, 1, 1, 2, 2, 7], window=1.0, anchors=7)  # duplicate values
+@example(proj=[-5, Fraction(-1, 3), 0], window=10.0, anchors=64)  # span <= window
+@example(proj=[-30, -1, 5, 30, 30], window=2.0, anchors=1)
+@example(proj=[Fraction(1, 10**15), Fraction(2, 10**15 + 1), Fraction(-7, 3)], window=1e-15, anchors=3)
+def test_density_matches_vectorized_searchsorted(proj, window, anchors):
+    got = lower_beurling_density(proj, window, anchors)
+    assert type(got) is float
+    assert got == searchsorted_density(proj, window, anchors)
 
 
 def test_density_empty_and_errors():
