@@ -6,8 +6,9 @@ Riesz bases, builds the known explicit spectra, and solves or scans the
 orthogonality constraint for interval components.
 
 The names below are imported from their modules on first use, so
-``import addspec`` loads no numpy and ``from addspec import ExponentSet``
-loads only the exact-arithmetic modules.
+``from addspec import ExponentSet`` loads only the exact-arithmetic modules.
+No module loads numpy at import; the numerical functions import it when
+they first run.
 """
 
 from importlib import import_module
@@ -83,28 +84,17 @@ _EXPORTS = {
 }
 
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
-def _lazy_getattr(namespace: dict, exports: dict):
-    """A module ``__getattr__`` over ``exports`` (module -> names).
-
-    Looking up a listed name that is not bound yet imports its ``addspec``
-    module and binds the name in ``namespace``, the module's globals, so
-    later lookups are plain global reads.
-    """
-    home = {name: module for module, names in exports.items() for name in names}
-
-    def __getattr__(name):
-        module = home.get(name)
-        if module is None:
-            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        value = namespace[name] = getattr(import_module(f"{__name__}.{module}"), name)
-        return value
-
-    return __getattr__
-
-
-__getattr__ = _lazy_getattr(globals(), _EXPORTS)
+def __getattr__(name):
+    """Import the module of a listed name on first use and bind the name here,
+    so later lookups are plain global reads."""
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
 
 
 def __dir__():

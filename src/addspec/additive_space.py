@@ -17,7 +17,9 @@ frequencies builds a handful of rules.
 
 The exponent pairs themselves, ``ExponentPair``, are defined in ``exponents``
 (which needs no numpy) and imported here, so
-``addspec.additive_space.ExponentPair`` names the same class.
+``addspec.additive_space.ExponentPair`` names the same class.  numpy is
+imported inside the functions that compute with it, so importing this module
+loads none.
 """
 
 from __future__ import annotations
@@ -27,9 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
-
-import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import MalformedInputError
 from .exponents import ExponentPair
@@ -165,12 +164,15 @@ class PiecewisePolynomial:
         return max(len(coeffs) - 1 for _, _, coeffs in self.pieces)
 
     def __call__(self, x):
+        import numpy as np
+        from numpy.polynomial.polynomial import polyval
+
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape, dtype=complex)
         for l, r, coeffs in self.pieces:
             mask = (x >= float(l)) & (x <= float(r))
             if mask.any():
-                out[mask] = npoly.polyval(x[mask], np.asarray(coeffs))
+                out[mask] = polyval(x[mask], np.asarray(coeffs))
         return out
 
     def negated(self) -> "PiecewisePolynomial":
@@ -198,6 +200,8 @@ def support_intervals(m: IntervalUnionMeasure):
 
 @lru_cache(maxsize=None)
 def _leggauss(n: int):
+    import numpy as np
+
     return np.polynomial.legendre.leggauss(n)
 
 
@@ -220,6 +224,9 @@ def measure_integral(m: IntervalUnionMeasure, fn: PiecewisePolynomial, freq=0.0)
     the call; the polynomial is evaluated once at its nodes and the
     exponentials are applied FREQ_BLOCK frequencies at a time.
     """
+    import numpy as np
+    from numpy.polynomial.polynomial import polyval
+
     freqs = np.asarray(freq, dtype=float)
     flat = freqs.ravel()
     top = float(np.max(np.abs(flat), initial=0.0))
@@ -235,7 +242,7 @@ def measure_integral(m: IntervalUnionMeasure, fn: PiecewisePolynomial, freq=0.0)
             mid = float(hi + lo) / 2.0
             nodes, weights = _leggauss(_gl_order(len(coeffs) - 1, top * 2 * half))
             x = mid + half * nodes
-            wp = dens * half * weights * npoly.polyval(x, np.asarray(coeffs))
+            wp = dens * half * weights * polyval(x, np.asarray(coeffs))
             for s in range(0, flat.size, FREQ_BLOCK):
                 block = flat[s : s + FREQ_BLOCK]
                 total[s : s + FREQ_BLOCK] += np.exp(2j * np.pi * np.outer(block, x)) @ wp
@@ -244,9 +251,12 @@ def measure_integral(m: IntervalUnionMeasure, fn: PiecewisePolynomial, freq=0.0)
 
 def measure_norm_sq(m: IntervalUnionMeasure, fn: PiecewisePolynomial) -> float:
     """Integral of |fn|^2 dm, exact for polynomial pieces."""
+    import numpy as np
+    from numpy.polynomial.polynomial import polymul
+
     sq = PiecewisePolynomial(
         tuple(
-            (l, r, tuple(npoly.polymul(coeffs, np.conj(coeffs))))
+            (l, r, tuple(polymul(coeffs, np.conj(coeffs))))
             for l, r, coeffs in fn.pieces
         )
     )
@@ -259,6 +269,8 @@ def frame_coefficients(
     pairs: Sequence[ExponentPair],
 ) -> np.ndarray:
     """<F, e_{a,b}> in L^2(rho) for each pair, F given by its axis projections (f, g)."""
+    import numpy as np
+
     f, g = fn_pair
     a = np.array([-float(p.a) for p in pairs])
     b = np.array([-float(p.b) for p in pairs])

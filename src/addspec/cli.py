@@ -5,8 +5,9 @@ separate a deterministic ``body`` (identical config -> identical bytes) from
 a ``meta`` block carrying version and timing; ``construct`` emits the plain
 point-set JSON list so its output feeds straight back into ``--points``.
 Errors surface as a JSON object with a machine-readable code and a distinct
-exit code per class.  Only gram, solve-oe and demo-collinear import the
-numpy-backed modules; analyze and construct run on the standard library.
+exit code per class.  The library modules import numpy only inside the
+functions that compute with it, so analyze and construct, which call none of
+them, run on the standard library alone.
 """
 
 from __future__ import annotations
@@ -19,7 +20,15 @@ import sys
 import time
 from typing import List, Optional, Sequence
 
-from . import __version__, _lazy_getattr
+from . import __version__
+from .additive_space import space_from_name
+from .constructions import (
+    integer_base,
+    l_space_onb,
+    lev_style_set,
+    mirror_spectrum,
+    nonoverlap_riesz_spectrum,
+)
 from .errors import MalformedInputError, ToolkitError
 from .exponents import (
     ExponentSet,
@@ -29,49 +38,23 @@ from .exponents import (
     multiplicity,
     project,
 )
+from .gram import (
+    assemble,
+    collinear_failure_demo,
+    constant_pair,
+    identity_deviation,
+    monomial_pair,
+    parseval_residual,
+    riesz_section_certificate,
+)
 from .measures import IntervalUnionMeasure, as_fraction
-
-# Names imported on first use, by module, so that analyze and construct load
-# no numpy.  Each command binds the names it needs with ``_bind`` and then
-# reads them as module globals at call time, so a name replaced on this
-# module (a test's or the benchmark tracer's wrapper) is the one called.
-_LAZY = {
-    "additive_space": ("space_from_name",),
-    "constructions": (
-        "integer_base",
-        "l_space_onb",
-        "lev_style_set",
-        "mirror_spectrum",
-        "nonoverlap_riesz_spectrum",
-    ),
-    "gram": (
-        "assemble",
-        "collinear_failure_demo",
-        "constant_pair",
-        "identity_deviation",
-        "monomial_pair",
-        "parseval_residual",
-        "riesz_section_certificate",
-    ),
-    "ortho_solver": (
-        "classify_case",
-        "classify_spectrum_candidates",
-        "residual",
-        "scan_residual",
-        "solve_families",
-    ),
-}
-
-__getattr__ = _lazy_getattr(globals(), _LAZY)
-
-
-def _bind(*modules: str) -> None:
-    """Import the ``_LAZY`` names of ``modules`` that are not bound yet."""
-    for module in modules:
-        for name in _LAZY[module]:
-            if name not in globals():
-                __getattr__(name)
-
+from .ortho_solver import (
+    classify_case,
+    classify_spectrum_candidates,
+    residual,
+    scan_residual,
+    solve_families,
+)
 
 IDENTITY_TOL = 1e-12
 
@@ -151,7 +134,6 @@ def _cmd_analyze(args: argparse.Namespace):
 
 
 def _cmd_gram(args: argparse.Namespace):
-    _bind("additive_space", "gram")
     space = space_from_name(args.space)
     es = load_points(args.points)
     pairs = es.points
@@ -187,7 +169,6 @@ def _cmd_gram(args: argparse.Namespace):
 
 
 def _cmd_construct(args: argparse.Namespace):
-    _bind("constructions")
     if args.kind == "l-onb":
         es = l_space_onb(args.N)
     elif args.kind == "mirror":
@@ -211,7 +192,6 @@ def _cmd_construct(args: argparse.Namespace):
 
 
 def _cmd_solve_oe(args: argparse.Namespace):
-    _bind("additive_space", "ortho_solver")
     if args.t is not None or args.t_prime is not None:
         if args.t is None or args.t_prime is None:
             raise MalformedInputError("give both --t and --t-prime")
@@ -254,7 +234,6 @@ def _cmd_solve_oe(args: argparse.Namespace):
 
 
 def _cmd_demo_collinear(args: argparse.Namespace):
-    _bind("gram")
     a = as_fraction(args.a)
     const = collinear_failure_demo(a, args.N)
     rand = collinear_failure_demo(a, args.N, g="random", seed=args.seed)

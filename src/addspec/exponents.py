@@ -71,8 +71,8 @@ def _as_pair(p) -> ExponentPair:
     raise MalformedInputError(f"not an exponent pair: {p!r}")
 
 
-def _interner(lines: List[Fraction], parsed: Dict[str, Fraction]):
-    """Line ids of one axis: returns ``(line_id, table)``.
+def _interner(parsed: Dict[str, Fraction]):
+    """Line numbering of one axis: returns ``(line_id, lines, table)``.
 
     ``line_id(v)`` is the id of coordinate ``v`` (anything ``as_fraction``
     takes), keyed in ``table`` by the exact (numerator, denominator) of its
@@ -80,8 +80,9 @@ def _interner(lines: List[Fraction], parsed: Dict[str, Fraction]):
     time gets the next free id, ``len(lines)``, and its value is appended to
     ``lines``.  Point files repeat each coordinate string on many points, so
     a string this axis has seen maps straight to its id, and a string is
-    parsed once into ``parsed``, which both axes of a set may share.
+    parsed once into ``parsed``, which both axes share.
     """
+    lines: List[Fraction] = []
     table: Dict[Tuple[int, int], int] = {}
     seen: Dict[str, int] = {}
 
@@ -104,7 +105,27 @@ def _interner(lines: List[Fraction], parsed: Dict[str, Fraction]):
             i = seen[v] = exact_id(f)
         return i
 
-    return line_id, table
+    return line_id, lines, table
+
+
+def _line_ids(coords: Iterable):
+    """Line ids of the (x, y) coordinate pairs ``coords``, taken in order.
+
+    Returns ``(xid, yid, lines, x_table, y_table)``: x lines are numbered
+    from 0 in order of first use, y lines continue after them, ``lines[i]``
+    is the Fraction of line ``i`` and each table maps an exact (numerator,
+    denominator) key to its id.
+    """
+    parsed: Dict[str, Fraction] = {}
+    x_id, x_lines, x_table = _interner(parsed)
+    y_id, y_lines, y_table = _interner(parsed)
+    xid, yid = [], []
+    for x, y in coords:
+        xid.append(x_id(x))
+        yid.append(y_id(y))
+    n_x = len(x_lines)
+    y_table = {key: n_x + j for key, j in y_table.items()}
+    return xid, [n_x + j for j in yid], x_lines + y_lines, x_table, y_table
 
 
 @dataclass(frozen=True)
@@ -120,12 +141,7 @@ class ExponentSet:
 
     def __post_init__(self):
         pts = tuple(_as_pair(p) for p in self.points)
-        lines: List[Fraction] = []
-        x_id, x_table = _interner(lines, {})
-        xid = [x_id(p.a) for p in pts]
-        y_id, y_table = _interner(lines, {})
-        yid = [y_id(p.b) for p in pts]
-        self._store(pts, xid, yid, lines, x_table, y_table)
+        self._store(pts, *_line_ids((p.a, p.b) for p in pts))
 
     def _store(self, points, xid, yid, lines, x_table, y_table):
         index = {key: k for k, key in enumerate(zip(xid, yid))}
@@ -169,24 +185,17 @@ class ExponentSet:
     def from_json(cls, data) -> "ExponentSet":
         if not isinstance(data, list):
             raise MalformedInputError("point set must be a JSON list of pairs")
-        x_lines: List[Fraction] = []
-        y_lines: List[Fraction] = []
-        parsed: Dict[str, Fraction] = {}
-        x_id, x_table = _interner(x_lines, parsed)
-        y_id, y_table = _interner(y_lines, parsed)
-        xid, yid = [], []
-        for item in data:
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise MalformedInputError(f"bad point entry: {item!r}")
-            xid.append(x_id(item[0]))
-            yid.append(y_id(item[1]))
-        # number the y lines after the x lines, as __post_init__ does
-        n_x = len(x_lines)
-        yid = [n_x + j for j in yid]
-        lines = x_lines + y_lines
+
+        def entries():
+            for item in data:
+                if not isinstance(item, (list, tuple)) or len(item) != 2:
+                    raise MalformedInputError(f"bad point entry: {item!r}")
+                yield item
+
+        xid, yid, lines, x_table, y_table = _line_ids(entries())
         points = tuple(map(ExponentPair._exact, [lines[i] for i in xid], [lines[j] for j in yid]))
         es = object.__new__(cls)
-        es._store(points, xid, yid, lines, x_table, {key: n_x + j for key, j in y_table.items()})
+        es._store(points, xid, yid, lines, x_table, y_table)
         return es
 
 

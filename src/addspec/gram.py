@@ -4,6 +4,9 @@ A finite section can disprove but not prove: a section whose smallest
 eigenvalue is (numerically) zero exhibits an explicit null combination, which
 rules out a Riesz sequence outright.  A positive, stabilizing floor across
 nested sections is evidence only, and the verdict labels say so.
+
+numpy is imported inside the functions that compute with it, so importing
+this module loads none.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .additive_space import (
     AdditiveSpace,
@@ -64,6 +65,8 @@ def _axis_kernel(m: IntervalUnionMeasure, coords: Sequence[Fraction]):
     where the unit phase u_i = exp(i pi c_i (l + r)) has c_i (l + r) reduced
     mod 2 in exact arithmetic before it is rounded.
     """
+    import numpy as np
+
     D = math.lcm(*(c.denominator for c in coords))
     nums = [c.numerator * (D // c.denominator) for c in coords]
     top = max(abs(x) for x in nums)
@@ -80,6 +83,8 @@ def _axis_kernel(m: IntervalUnionMeasure, coords: Sequence[Fraction]):
 
 def _half_transform_block(axis, rows: slice, cols: slice) -> np.ndarray:
     """ft(m, c_i - c_j) / 2 for i in rows, j in cols; exactly 1/2 where c_i == c_j."""
+    import numpy as np
+
     grid, D, pieces = axis
     diff = grid[rows, None] - grid[None, cols]
     # true division rounds correctly for Python ints of any size
@@ -105,6 +110,8 @@ def assemble(s: AdditiveSpace, pairs: Sequence[ExponentPair], cap: int = MATRIX_
     Hermitian.  Entries stay a few ulps from exact however far the points
     and the supports sit from 0.
     """
+    import numpy as np
+
     pairs = tuple(pairs)
     if len(set(pairs)) != len(pairs):
         raise MalformedInputError("duplicate pairs in Gram assembly")
@@ -135,6 +142,8 @@ def identity_deviation(g: GramMatrix) -> float:
     """Largest |G - I| entry, taken ROW_BLOCK rows at a time so that no n x n
     temporary is formed; the result is the same float as the whole-matrix
     maximum, NaN included."""
+    import numpy as np
+
     e = g.entries
     peaks = []
     for start in range(0, g.size, ROW_BLOCK):
@@ -147,6 +156,8 @@ def identity_deviation(g: GramMatrix) -> float:
 
 def extremal_eigenvalues(g: GramMatrix) -> Tuple[float, float]:
     """Smallest and largest eigenvalue of the Hermitian section."""
+    import numpy as np
+
     if g.size == 0:
         raise MalformedInputError("empty Gram matrix")
     w = np.linalg.eigvalsh(g.entries)
@@ -200,6 +211,8 @@ def riesz_section_certificate(
     Sections are leading principal submatrices of one assembled Gram matrix,
     so they are nested and the extremal eigenvalues interlace.
     """
+    import numpy as np
+
     pairs = tuple(pairs)
     sizes = tuple(int(n) for n in sizes)
     if not sizes or any(n <= 0 or n > len(pairs) for n in sizes):
@@ -246,6 +259,8 @@ def _frame_sum_and_energy(
     test_fn: Tuple[PiecewisePolynomial, PiecewisePolynomial],
 ) -> Tuple[float, float]:
     """(sum over pairs of |<F, e_{a,b}>|^2, ||F||^2) for F = (f, g) on the axes."""
+    import numpy as np
+
     coeffs = frame_coefficients(s, test_fn, pairs)
     return float(np.sum(np.abs(coeffs) ** 2)), pair_norm_sq(s, test_fn)
 
@@ -348,6 +363,8 @@ def collinear_failure_demo(a, N: int, g=None, seed: int = 0) -> CollinearFailure
     ``g`` is a PiecewisePolynomial on [-1/2, 1/2], the string "random" for a
     seeded piecewise-linear draw, or None for the constant 1.
     """
+    import numpy as np
+
     a = as_fraction(a)
     if not (0 < a <= 1):
         raise MalformedInputError(f"slope must be in (0, 1], got {a}")

@@ -9,7 +9,8 @@ satisfy
 with S(z) = sin(z)/z.  Closed-form solution families are hard-coded for the
 three solved parameter cases (t = t' = 0; symmetric 2t+1 = 1/a with integer
 a >= 2; t = -1/2, t' = -1).  Everything else degrades to residual scans,
-never to fabricated families.
+never to fabricated families.  numpy is imported inside the functions that
+compute with it, so importing this module loads none.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .errors import MalformedInputError, MultiplicityOneViolation, UnsolvedCaseError
 from .exponents import lower_beurling_density
@@ -32,12 +31,16 @@ SCAN_BLOCK = 512  # grid rows per block of the residual scan
 
 
 def _phase_factor(two_t_plus_1: float, lam: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     # np.sinc(x) is sin(pi x)/(pi x), exactly the multiplier in play
     return np.exp(1j * np.pi * two_t_plus_1 * lam) * np.sinc(lam)
 
 
 def residual(t, t_prime, l1: float, l2: float) -> float:
     """|LHS + RHS| of the orthogonality constraint; 0 iff (l1, l2) solves it."""
+    import numpy as np
+
     if l1 == 0 or l2 == 0:
         raise MultiplicityOneViolation("frequency differences must be nonzero")
     if not (math.isfinite(float(l1)) and math.isfinite(float(l2))):
@@ -96,6 +99,8 @@ class OrthSolutionFamily:
 
     def near_mask(self, l1: np.ndarray, l2: np.ndarray, radius: float) -> np.ndarray:
         """Boolean grid mask of points within ``radius`` (sup norm) of a member."""
+        import numpy as np
+
         if self.kind == "empty":
             return np.zeros((l1.size, l2.size), dtype=bool)
         if self.kind == "integer-lattice":
@@ -203,6 +208,8 @@ def scan_residual(
     reduction is a strict running minimum in row-major order, so the argmin
     tie-break is lexicographic in the grid index.
     """
+    import numpy as np
+
     if grid < 2:
         raise MalformedInputError("grid must be >= 2")
     t = as_fraction(t)

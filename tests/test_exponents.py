@@ -360,7 +360,7 @@ def test_cli_analyze_and_construct_run_without_numpy(tmp_path):
 
 def test_import_loads_no_numpy():
     proc = fresh_python(
-        "import sys, addspec, addspec.cli\n"
+        "import sys, addspec, addspec.cli, addspec.gram, addspec.additive_space, addspec.ortho_solver\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n"
     )
     assert proc.returncode == 0, proc.stderr
@@ -612,34 +612,6 @@ def per_anchor_density(proj, window, anchors=64):
     return best
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    proj=st.lists(st.fractions(min_value=-60, max_value=60, max_denominator=7), min_size=1, max_size=50),
-    window=st.floats(min_value=1e-3, max_value=200),
-    anchors=st.integers(1, 100),
-)
-@example(proj=[0, 1, 5], window=10.0, anchors=64)  # span <= window
-@example(proj=[0, 1, 5, 30], window=2.0, anchors=1)
-@example(proj=[Fraction(1, 3)], window=1.0, anchors=5)
-def test_density_matches_per_anchor_loop(proj, window, anchors):
-    got = lower_beurling_density(proj, window, anchors)
-    assert type(got) is float
-    assert got == per_anchor_density(proj, window, anchors)
-
-
-def searchsorted_density(proj, window, anchors):
-    """The density estimate with all anchors in one vectorized searchsorted."""
-    arr = np.asarray(sorted(float(x) for x in proj))
-    span = arr[-1] - arr[0]
-    if span <= window or anchors == 1:
-        starts = np.array([arr[0] + (span - window) / 2.0])
-    else:
-        step = (span - window) / (anchors - 1)
-        starts = arr[0] + np.arange(anchors) * step
-    lo, hi = np.searchsorted(arr, np.stack([starts, starts + window]), side="left")
-    return int((hi - lo).min()) / window
-
-
 @st.composite
 def projections(draw):
     """Coordinates with negatives, large denominators and repeated values."""
@@ -657,14 +629,17 @@ def projections(draw):
     window=st.floats(min_value=1e-6, max_value=1e7),
     anchors=st.integers(1, 200),
 )
+@example(proj=[0, 1, 5], window=10.0, anchors=64)  # span <= window
+@example(proj=[0, 1, 5, 30], window=2.0, anchors=1)
+@example(proj=[Fraction(1, 3)], window=1.0, anchors=5)
 @example(proj=[1, 1, 1, 2, 2, 7], window=1.0, anchors=7)  # duplicate values
 @example(proj=[-5, Fraction(-1, 3), 0], window=10.0, anchors=64)  # span <= window
 @example(proj=[-30, -1, 5, 30, 30], window=2.0, anchors=1)
 @example(proj=[Fraction(1, 10**15), Fraction(2, 10**15 + 1), Fraction(-7, 3)], window=1e-15, anchors=3)
-def test_density_matches_vectorized_searchsorted(proj, window, anchors):
+def test_density_matches_per_anchor_loop(proj, window, anchors):
     got = lower_beurling_density(proj, window, anchors)
     assert type(got) is float
-    assert got == searchsorted_density(proj, window, anchors)
+    assert got == per_anchor_density(proj, window, anchors)
 
 
 def test_density_empty_and_errors():
