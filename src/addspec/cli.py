@@ -123,7 +123,8 @@ def _cmd_analyze(args: argparse.Namespace):
     windows = [args.window / 2, args.window, 2 * args.window]
     rows = []
     for axis in ("x", "y"):
-        proj = project(es, axis)
+        # floats of the sorted Fractions are sorted: each window reuses them
+        proj = [float(v) for v in project(es, axis)]
         sweep = []
         for w in windows:
             est = lower_beurling_density(proj, w, args.anchors)

@@ -9,8 +9,13 @@ satisfy
 with S(z) = sin(z)/z.  Closed-form solution families are hard-coded for the
 three solved parameter cases (t = t' = 0; symmetric 2t+1 = 1/a with integer
 a >= 2; t = -1/2, t' = -1).  Everything else degrades to residual scans,
-never to fabricated families.  numpy is imported inside the functions that
-compute with it, so importing this module loads none.
+never to fabricated families.
+
+A residual scan evaluates only the grid cells that can hold its minimum, and
+is exact: a sampled unmasked cell bounds the minimum, and |z| >= |Re z| puts
+every cell under that bound in one searchable run of each grid row.
+numpy is imported inside the functions that compute with it, so importing
+this module loads none.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from .measures import as_fraction
 FAMILY_TOL = 1e-12
 SCAN_ROOT_TOL = 1e-6
 EXCLUSION_RADIUS = 1e-3
-SCAN_BLOCK = 512  # grid rows per block of the residual scan
+SCAN_SAMPLE = 64  # rows and columns of the subgrid that bounds the residual scan
+SCAN_GROUP = 1 << 20  # most candidate cells the residual scan evaluates at once
 
 
 def _phase_factor(two_t_plus_1: float, lam: np.ndarray) -> np.ndarray:
@@ -98,22 +104,24 @@ class OrthSolutionFamily:
             j += 1
 
     def near_mask(self, l1: np.ndarray, l2: np.ndarray, radius: float) -> np.ndarray:
-        """Boolean grid mask of points within ``radius`` (sup norm) of a member."""
+        """Elementwise mask of points within ``radius`` (sup norm) of a member.
+
+        ``near_mask(l1[:, None], l2[None, :], r)`` masks a whole grid.
+        """
         import numpy as np
 
         if self.kind == "empty":
-            return np.zeros((l1.size, l2.size), dtype=bool)
+            return np.zeros(np.broadcast(l1, l2).shape, dtype=bool)
         if self.kind == "integer-lattice":
             r1 = np.round(l1)
             r2 = np.round(l2)
             n1 = (np.abs(l1 - r1) <= radius) & (r1 != 0)
-            n2 = (np.abs(l2 - r2) <= radius) & (r2 != 0)
-            return n1[:, None] & n2[None, :]
+            return n1 & (np.abs(l2 - r2) <= radius) & (r2 != 0)
         off = float(self.offset)
         st = float(self.step)
         m = off + st * np.round((l1 - off) / st)
         n1 = (np.abs(l1 - m) <= radius) & (m != 0)
-        return n1[:, None] & (np.abs(l2[None, :] + m[:, None]) <= radius)
+        return n1 & (np.abs(l2 + m) <= radius)
 
 
 def integer_lattice_family() -> OrthSolutionFamily:
@@ -204,9 +212,19 @@ def scan_residual(
     Family neighborhoods are closed sup-norm balls of radius EXCLUSION_RADIUS;
     the radius gets a one-part-in-10^9 slack so boundary ties resolve the same
     way regardless of rounding in the grid coordinates.  Cells on the
-    coordinate axes (a zero frequency difference) are always skipped.  The
-    reduction is a strict running minimum in row-major order, so the argmin
-    tie-break is lexicographic in the grid index.
+    coordinate axes (a zero frequency difference) are always skipped, and so
+    are cells whose residual is NaN.  The argmin tie-break is lexicographic in
+    the grid index (i, j).
+
+    Only cells that can hold the minimum are evaluated, and the result is the
+    dense scan's bit for bit.  ``tau``, the least unmasked residual on a
+    strided SCAN_SAMPLE^2 subgrid (``inf`` if all are masked), is a real cell's
+    residual, so the minimum is at most ``tau``.  Floating-point ``|z|`` is
+    never below ``|Re z|`` or ``|Im z|``, so a cell at or below ``tau`` has its
+    ``Re p2[j]`` in one run of the sorted ``Re p2`` (two searches widened by a
+    few ulps) and passes the ``Im z`` filter.  Candidates get the dense
+    residual, exclusions and tie-break.  Row groups of at most SCAN_GROUP cells
+    bound the memory, and a loose ``tau`` costs what a dense scan costs.
     """
     import numpy as np
 
@@ -222,27 +240,44 @@ def scan_residual(
     radius = EXCLUSION_RADIUS * (1 + 1e-9)
     l1s = x0 + (np.arange(grid) + 0.5) * (x1 - x0) / grid
     l2s = y0 + (np.arange(grid) + 0.5) * (y1 - y0) / grid
-    w1 = float(2 * t + 1)
-    w2 = float(2 * tp + 1)
-    p2 = _phase_factor(w2, l2s)
-    axis2 = np.abs(l2s) < 1e-12
+    p1 = _phase_factor(float(2 * t + 1), l1s)
+    p2 = _phase_factor(float(2 * tp + 1), l2s)
+
+    def masked(i, j, r):
+        a, b = l1s[i], l2s[j]
+        mask = (np.abs(a) < 1e-12) | (np.abs(b) < 1e-12) | np.isnan(r)
+        for fam in families:
+            mask = mask | fam.near_mask(a, b, radius)
+        return np.where(mask, np.inf, r)
+
+    s = np.arange(0, grid, max(1, grid // SCAN_SAMPLE))
+    tau = float(masked(s[:, None], s[None, :], np.abs(p1[s, None] + p2[None, s])).min())
+    reach = tau + 8 * np.finfo(float).eps * (1 + tau)
+    order = np.argsort(p2.real, kind="stable")
+    re2 = p2.real[order]
+    lo = np.searchsorted(re2, -p1.real - reach, "left")
+    counts = np.searchsorted(re2, -p1.real + reach, "right") - lo
+    ends = np.cumsum(counts)
+    shift = lo - ends + counts  # the k-th candidate overall, in row i, is order[k + shift[i]]
     best = math.inf
     arg = (math.nan, math.nan)
-    for s in range(0, grid, SCAN_BLOCK):
-        chunk = l1s[s : s + SCAN_BLOCK]
-        r = np.abs(_phase_factor(w1, chunk)[:, None] + p2[None, :])
-        mask = np.zeros(r.shape, dtype=bool)
-        for fam in families:
-            mask |= fam.near_mask(chunk, l2s, radius)
-        mask |= (np.abs(chunk) < 1e-12)[:, None]
-        mask |= axis2[None, :]
-        r[mask] = math.inf
-        flat = int(np.argmin(r))
-        val = float(r.flat[flat])
+    row = 0
+    while row < grid:
+        first = ends[row] - counts[row]
+        stop = max(row + 1, int(np.searchsorted(ends, first + SCAN_GROUP, "right")))
+        c = counts[row:stop]
+        i = np.repeat(np.arange(row, stop), c)
+        j = order[first + np.arange(i.size) + np.repeat(shift[row:stop], c)]
+        z = p1[i] + p2[j]
+        keep = np.abs(z.imag) <= reach
+        i, j = i[keep], j[keep]
+        r = masked(i, j, np.abs(z[keep]))
+        val = float(r.min(initial=math.inf))
         if val < best:
             best = val
-            i, j = np.unravel_index(flat, r.shape)
-            arg = (float(chunk[i]), float(l2s[j]))
+            cell = int((i * grid + j)[r == val].min())
+            arg = (float(l1s[cell // grid]), float(l2s[cell % grid]))
+        row = stop
     return ScanResult(
         t=t,
         t_prime=tp,

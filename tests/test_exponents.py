@@ -508,6 +508,26 @@ def test_analyze_grows_the_forest_once(tmp_path, monkeypatch, pts):
     assert len(calls) == 1
 
 
+def test_analyze_converts_each_projection_once(tmp_path, monkeypatch):
+    # 30 distinct x lines and 15 distinct y lines, three density windows each
+    pts = [[f"{k}/3", f"{k // 2}/7"] for k in range(30)]
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(pts))
+    expected = main(["analyze", "--points", str(path), "--out", str(tmp_path / "a.json")])
+    calls = []
+    to_float = Fraction.__float__
+
+    def counted(self):
+        calls.append(self)
+        return to_float(self)
+
+    monkeypatch.setattr(Fraction, "__float__", counted, raising=False)
+    assert main(["analyze", "--points", str(path), "--out", str(tmp_path / "b.json")]) == expected
+    assert len(calls) == 30 + 15
+    bodies = [json.loads((tmp_path / f).read_text())["body"] for f in ("a.json", "b.json")]
+    assert bodies[0] == bodies[1]
+
+
 # ---------------------------------------------------------------------------
 # Distance map along an accumulation ordering.
 # ---------------------------------------------------------------------------

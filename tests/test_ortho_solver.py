@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from addspec import ortho_solver
 from addspec import (
     classify_case,
     classify_spectrum_candidates,
@@ -16,7 +19,7 @@ from addspec.errors import (
     MultiplicityOneViolation,
     UnsolvedCaseError,
 )
-from addspec.ortho_solver import FAMILY_TOL, SCAN_ROOT_TOL
+from addspec.ortho_solver import EXCLUSION_RADIUS, FAMILY_TOL, SCAN_ROOT_TOL
 
 
 def test_residual_at_solution_points():
@@ -144,6 +147,143 @@ def test_scan_is_deterministic():
     a = scan_residual(0, 0, ((-2, 2), (-2, 2)), 301)
     b = scan_residual(0, 0, ((-2, 2), (-2, 2)), 301)
     assert a == b
+
+
+def dense_scan(t, tp, box, grid, families):
+    """Every cell of the grid at once: (min residual, argmin), first index on ties."""
+    radius = EXCLUSION_RADIUS * (1 + 1e-9)
+    (x0, x1), (y0, y1) = box
+    l1 = x0 + (np.arange(grid) + 0.5) * (x1 - x0) / grid
+    l2 = y0 + (np.arange(grid) + 0.5) * (y1 - y0) / grid
+
+    def phase(w, lam):
+        return np.exp(1j * np.pi * w * lam) * np.sinc(lam)
+
+    r = np.abs(phase(float(2 * t + 1), l1)[:, None] + phase(float(2 * tp + 1), l2)[None, :])
+    mask = (np.abs(l1) < 1e-12)[:, None] | (np.abs(l2) < 1e-12)[None, :]
+    for fam in families:
+        if fam.kind == "integer-lattice":
+            n1 = (np.abs(l1 - np.round(l1)) <= radius) & (np.round(l1) != 0)
+            n2 = (np.abs(l2 - np.round(l2)) <= radius) & (np.round(l2) != 0)
+            mask |= n1[:, None] & n2[None, :]
+        else:
+            off, st_ = float(fam.offset), float(fam.step)
+            m = off + st_ * np.round((l1 - off) / st_)
+            near = (np.abs(l1 - m) <= radius) & (m != 0)
+            mask |= near[:, None] & (np.abs(l2[None, :] + m[:, None]) <= radius)
+    r[mask] = np.inf
+    k = int(np.argmin(r))
+    if r.flat[k] == np.inf:
+        return math.inf, (math.nan, math.nan)
+    i, j = divmod(k, grid)
+    return float(r.flat[k]), (float(l1[i]), float(l2[j]))
+
+
+def assert_scan_matches_dense(t, tp, box, grid, families=None):
+    got = scan_residual(t, tp, box, grid, families=families)
+    fams = solve_families(t, tp) if families is None else families
+    best, arg = dense_scan(Fraction(t), Fraction(tp), box, grid, fams)
+    # exact equality, NaN-aware: np.testing compares NaN positions as equal
+    np.testing.assert_array_equal([got.min_residual, *got.argmin], [best, *arg])
+    return got
+
+
+SOLVED = [(0, 0), ("-1/4", "-1/4"), ("-1/3", "-1/3"), ("-2/5", "-2/5"), ("-1/2", -1)]
+parameter = st.fractions(min_value=-2, max_value=2, max_denominator=40)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    ts=st.one_of(
+        st.sampled_from(SOLVED),
+        st.tuples(parameter, parameter),
+        parameter.map(lambda t: (t, t)),
+    ),
+    centre=st.tuples(st.floats(-4, 4), st.floats(-4, 4)),
+    half=st.tuples(st.floats(1e-3, 4), st.floats(1e-3, 4)),
+    grid=st.integers(2, 160),
+)
+@example(ts=(0, 0), centre=(0.0, 0.0), half=(4.0, 4.0), grid=160)
+@example(ts=(-0.5, -1), centre=(0.0, 0.0), half=(1.0, 1.0), grid=2)
+def test_scan_equals_dense_scan(ts, centre, half, grid):
+    t, tp = (Fraction(v) for v in ts)
+    box = tuple((c - h, c + h) for c, h in zip(centre, half))
+    assert_scan_matches_dense(t, tp, box, grid)
+
+
+@pytest.mark.parametrize(
+    "t,tp,root",
+    [(0, 0, (1, -2)), (0, 0, (0.5, -0.5)), (Fraction(-1, 3), Fraction(-1, 3), (-1.5, 1.5)),
+     (Fraction(-1, 2), -1, (3, 1))],
+)
+@pytest.mark.parametrize("half", [1e-4, 9e-4])
+def test_scan_inside_an_exclusion_is_empty(t, tp, root, half):
+    box = tuple((c - half, c + half) for c in root)
+    r = assert_scan_matches_dense(t, tp, box, 97)
+    assert r.min_residual == math.inf
+    assert math.isnan(r.argmin[0]) and math.isnan(r.argmin[1])
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_scan_skips_cells_on_the_axes(swap):
+    # with t = -1/2 and t' = 1 the residual |sinc(l1) + 1| along l2 = 0 is a
+    # local minimum, so the cells on the axis would win if they were scanned
+    t, tp, box = Fraction(-1, 2), Fraction(1), ((1.3, 1.6), (-0.1, 0.1))
+    if swap:
+        t, tp, box = tp, t, box[::-1]
+    r = assert_scan_matches_dense(t, tp, box, 101)
+    l = r.argmin[1] if swap else r.argmin[0]
+    assert 0.0 not in r.argmin
+    assert abs(np.sinc(l) + 1) < r.min_residual
+
+
+# t = -1/2 makes the residual even in each coordinate: ties within a row too
+@pytest.mark.parametrize(
+    "t", [Fraction(0), Fraction(-1, 3), Fraction(1, 7), Fraction(-5, 6), Fraction(-1, 2)]
+)
+@pytest.mark.parametrize("box", [((-2, 2), (-2, 2)), ((-0.5, 3), (-0.5, 3))])
+def test_symmetric_scan_breaks_ties_by_grid_index(t, box):
+    # with t = t' on a square box, cells (i, j) and (j, i) tie exactly
+    r = assert_scan_matches_dense(t, t, box, 128, families=[])
+    assert r.argmin[0] <= r.argmin[1]
+    assert residual(t, t, *r.argmin) == residual(t, t, r.argmin[1], r.argmin[0])
+
+
+@pytest.mark.parametrize(
+    "t,tp,box",
+    [
+        (0, 0, ((-4, 4), (-4, 4))),
+        (Fraction(1, 9), Fraction(-4, 7), ((-3, 3.5), (-1, 2))),
+        # a strip of unmasked cells the sampled subgrid misses: tau is inf
+        (0, 0, ((1 - 0.00099, 1 + 0.00102), (1 - 0.00099, 1 + 0.00099))),
+    ],
+)
+def test_scan_in_small_row_groups_equals_dense_scan(monkeypatch, t, tp, box):
+    monkeypatch.setattr(ortho_solver, "SCAN_GROUP", 100)
+    assert math.isfinite(assert_scan_matches_dense(t, tp, box, 300).min_residual)
+
+
+def test_scan_skips_cells_whose_residual_is_nan():
+    # far out, pi (2t+1) l overflows and the phase factor of a cell is NaN
+    with np.errstate(all="ignore"):
+        r = scan_residual(Fraction(1, 7), Fraction(2, 9), ((-1e307, 1e307), (-1, 1)), 64)
+    assert math.isfinite(r.min_residual)
+    assert all(math.isfinite(v) for v in r.argmin)
+
+
+@pytest.mark.parametrize(
+    "t,tp,min_residual,argmin",
+    [
+        (Fraction(-1, 3), Fraction(-1, 3), 1.9999723913689314e-06, (-3.003, 2.997)),
+        (Fraction(-3, 8), Fraction(-3, 8), 3.138454629494815e-06, (-1.001, 3.003)),
+        (Fraction(-1, 2), Fraction(-1), 3.13845462949434e-06, (-3.003, -1.001)),
+    ],
+)
+def test_production_grid_scans_are_unchanged(t, tp, min_residual, argmin):
+    # recorded from the dense scan of every cell, before the pruned search
+    r = scan_residual(t, tp, ((-4, 4), (-4, 4)), 4000)
+    assert r.min_residual == min_residual
+    assert r.argmin == argmin
 
 
 def test_classify_valid_case():
