@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -303,7 +304,13 @@ def run(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    ``parse_args`` fills a fresh namespace on every call, so no default or
+    flag of one call reaches the next.
+    """
     p = argparse.ArgumentParser(
         prog="addspec",
         description="Certificates for exponential bases of two-axis additive measures.",

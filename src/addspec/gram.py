@@ -2,8 +2,12 @@
 
 A finite section can disprove but not prove: a section whose smallest
 eigenvalue is (numerically) zero exhibits an explicit null combination, which
-rules out a Riesz sequence outright.  A positive, stabilizing floor across
-nested sections is evidence only, and the verdict labels say so.
+rules out a Riesz sequence outright.  When the section contains a zigzag
+loop, that combination is the exact +-1/sqrt(k) alternation over the loop's
+k points, which is null for every pair of component measures and can be
+checked by hand; only a loop-free degenerate section takes its combination
+from a dense eigenvector.  A positive, stabilizing floor across nested
+sections is evidence only, and the verdict labels say so.
 
 numpy is imported inside the functions that compute with it, so importing
 this module loads none.
@@ -29,7 +33,7 @@ from .additive_space import (
     support_intervals,
 )
 from .errors import MalformedInputError
-from .exponents import ZigzagPath
+from .exponents import ExponentSet, ZigzagPath, find_zigzag_loop
 from .measures import IntervalUnionMeasure, as_fraction
 
 MATRIX_CAP = 4096
@@ -169,7 +173,9 @@ class SectionCertificate:
     """Eigenvalue record over nested Gram sections with a scoped verdict.
 
     degenerate       -- some section has a (numerically) zero eigenvalue; the
-                        null combination attached is a disproof.
+                        null combination attached is a disproof: the exact
+                        loop alternation when the first such section has a
+                        zigzag loop, its unit eigenvector otherwise.
     riesz-consistent -- the smallest eigenvalue stabilized above a positive
                         floor; necessary-condition evidence, not a proof.
     indeterminate    -- still drifting at the largest section.
@@ -209,7 +215,13 @@ def riesz_section_certificate(
     """Eigenvalue certificate over nested prefixes of ``pairs``.
 
     Sections are leading principal submatrices of one assembled Gram matrix,
-    so they are nested and the extremal eigenvalues interlace.
+    so they are nested and the extremal eigenvalues interlace.  The first
+    section whose smallest eigenvalue falls below DEGENERATE_TOL supplies the
+    null combination.  If its prefix contains a zigzag loop (the integer
+    union-find search of ``find_zigzag_loop``), the combination is the
+    loop's exact alternation and no eigenvector is computed; a loop-free
+    degenerate prefix, such as a near-duplicate pair of points, takes the
+    unit eigenvector of its smallest eigenvalue from ``np.linalg.eigh``.
     """
     import numpy as np
 
@@ -228,11 +240,15 @@ def riesz_section_certificate(
         mins.append(float(w[0]))
         maxs.append(float(w[-1]))
         if null_comb is None and w[0] < DEGENERATE_TOL:
-            _, vecs = np.linalg.eigh(full.entries[:n, :n])
-            v = vecs[:, 0]
-            null_comb = FiniteCombination(
-                tuple((pairs[i], complex(v[i])) for i in range(n))
-            )
+            loop = find_zigzag_loop(ExponentSet(pairs[:n]))
+            if loop is not None:
+                null_comb = loop_alternation(loop)
+            else:
+                _, vecs = np.linalg.eigh(full.entries[:n, :n])
+                v = vecs[:, 0]
+                null_comb = FiniteCombination(
+                    tuple((pairs[i], complex(v[i])) for i in range(n))
+                )
     floor = min(mins)
     if null_comb is not None:
         verdict = "degenerate"
@@ -277,6 +293,21 @@ def parseval_residual(
     """
     frame_sum, energy = _frame_sum_and_energy(s, tuple(pairs), test_fn)
     return energy - frame_sum
+
+
+def loop_alternation(loop: ZigzagPath) -> FiniteCombination:
+    """Unit-norm +1/sqrt(k), -1/sqrt(k), ... over a loop's k distinct points.
+
+    Every point shares its vertical line with one loop neighbour and its
+    horizontal line with the other, both of opposite sign, so on every line
+    the coefficients cancel in pairs and the combination projects to exactly
+    0: its norm in L^2(rho) is 0 whatever the component measures.
+    """
+    verts = loop.vertices[:-1]
+    c = 1 / math.sqrt(len(verts))
+    return FiniteCombination(
+        tuple((p, complex(c if i % 2 == 0 else -c)) for i, p in enumerate(verts))
+    )
 
 
 def alternating_zigzag_norm(s: AdditiveSpace, z: ZigzagPath) -> float:

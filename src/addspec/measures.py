@@ -34,6 +34,16 @@ def as_fraction(value: RationalLike) -> Fraction:
         return value
     if isinstance(value, (int, str)):
         try:
+            if isinstance(value, str):
+                # "-?digits" and "-?digits/digits" in ASCII skip the regex of
+                # Fraction(str); every other string still goes through it
+                num, slash, den = value.partition("/")
+                digits = num[1:] if num[:1] == "-" else num
+                if digits.isascii() and digits.isdigit():
+                    if not slash:
+                        return Fraction(int(num))
+                    if den.isascii() and den.isdigit():
+                        return Fraction(int(num), int(den))
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedInputError(f"not a rational: {value!r}") from exc

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from addspec.cli import main
+from addspec.cli import build_parser, main, run
 
 
 def run_json(tmp_path, args, name="out.json"):
@@ -281,3 +281,19 @@ def test_solve_oe_preset_matches_explicit_parameters(tmp_path, space, t, t_prime
     assert by_name["body"] == by_value["body"]
     code, err = run_json(tmp_path, ["solve-oe", "--space", space + "x"], "c.json")
     assert code == 3 and err["error"]["code"] == "malformed-input"
+
+
+def test_cached_parser_leaks_nothing_between_calls(tmp_path):
+    assert build_parser() is build_parser()
+    pts = tmp_path / "onb.json"
+    assert main(["construct", "l-onb", "--N", "4", "--out", str(pts)]) == 0
+    gram = ["gram", "--space", "L", "--points", str(pts)]
+    calls = [gram + ["--check", "identity"], gram, ["analyze", "--points", str(pts)],
+             gram + ["--parseval"]]
+    for k, argv in enumerate(calls * 2):
+        _, cached = run_json(tmp_path, argv)
+        fresh_out = tmp_path / f"fresh{k}.json"
+        assert run(build_parser.__wrapped__().parse_args(argv + ["--out", str(fresh_out)])) == 0
+        fresh = json.loads(fresh_out.read_text(encoding="utf-8"))
+        assert cached["body"] == fresh["body"], argv
+    assert "identity_check" not in cached["body"] and "parseval" in cached["body"]

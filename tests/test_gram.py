@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from addspec import (
     ExponentPair,
+    ExponentSet,
     PiecewisePolynomial,
     alternating_zigzag_norm,
     assemble,
@@ -23,6 +24,7 @@ from addspec import (
     mirror_spectrum,
     parseval_residual,
     plus_space,
+    projection_coefficients,
     riesz_section_certificate,
     space_from_name,
     staircase_zigzag,
@@ -281,6 +283,90 @@ def test_certificate_rejects_bad_sizes():
         riesz_section_certificate(l_space(), pairs, [4, 2])
     with pytest.raises(MalformedInputError):
         riesz_section_certificate(l_space(), pairs, [99])
+
+
+# ---------------------------------------------------------------------------
+# Null combinations: the exact loop alternation, the eigenvector otherwise.
+# ---------------------------------------------------------------------------
+
+
+def _antidiagonal(n, start=0):
+    """n integer points (k, -k): orthonormal on L, and they share no line."""
+    return [ExponentPair(k, -k) for k in range(start, start + n)]
+
+
+def _rectangle(x0, y0):
+    return [ExponentPair(x0, y0), ExponentPair(x0, y0 + 3), ExponentPair(x0 + 5, y0 + 3),
+            ExponentPair(x0 + 5, y0)]
+
+
+def _cycle(m):
+    """The 2m-point zigzag loop (x_i, y_i), (x_i, y_{i+1 mod m}) for m >= 2."""
+    return [ExponentPair(i, j) for i in range(m) for j in (10 + i, 10 + (i + 1) % m)]
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_planted_rectangle_takes_the_loop_alternation(eigh_calls):
+    pairs = _antidiagonal(10) + _rectangle(20, 20)
+    cert = riesz_section_certificate(l_space(), pairs, [10, 14])
+    assert cert.verdict == "degenerate"
+    assert eigh_calls == []
+    assert cert.lambda_min[0] == pytest.approx(1.0, abs=1e-10)
+    assert [c for _, c in cert.null_combination.terms] == [0.5, -0.5, 0.5, -0.5]
+    assert {p for p, _ in cert.null_combination.terms} == set(pairs[10:])
+
+
+def test_loop_free_near_duplicate_pair_takes_the_eigenvector(eigh_calls):
+    tiny = Fraction(1, 10**12)
+    pairs = [ExponentPair(0, 0), ExponentPair(tiny, tiny)]
+    cert = riesz_section_certificate(l_space(), pairs, [2])
+    assert find_zigzag_loop(ExponentSet.of(pairs)) is None
+    assert cert.verdict == "degenerate"
+    assert eigh_calls == [2]
+    (_, v0), (_, v1) = cert.null_combination.terms
+    # (1, -1)/sqrt(2) up to phase
+    assert abs(v0) == pytest.approx(2**-0.5, abs=1e-9)
+    assert abs(v1 / v0 + 1) < 1e-9
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_loop_alternation_projects_to_exactly_zero(m, eigh_calls):
+    pairs = _cycle(m)
+    np.random.default_rng(m).shuffle(pairs)
+    for s in (l_space(), plus_space(), t_space()):
+        cert = riesz_section_certificate(s, pairs, [len(pairs)])
+        assert cert.verdict == "degenerate"
+        comb = cert.null_combination
+        assert len(comb.terms) == 2 * m
+        for axis in ("x", "y"):
+            assert all(v == 0 for v in projection_coefficients(comb, axis).values())
+        assert math.sqrt(sum(abs(c) ** 2 for _, c in comb.terms)) == pytest.approx(1, abs=1e-15)
+        assert abs(combination_norm_sq(s, comb)) < 1e-15
+    assert eigh_calls == []
+
+
+def test_loop_lies_in_the_first_degenerate_prefix(eigh_calls):
+    # a ladder whose first loop closes at the 10th point and a second at the 20th
+    pairs = _antidiagonal(6) + _rectangle(20, 20) + _antidiagonal(6, start=6) + _rectangle(40, 40)
+    cert = riesz_section_certificate(l_space(), pairs, [6, 10, 16, 20])
+    assert cert.verdict == "degenerate"
+    assert cert.lambda_min[0] == pytest.approx(1.0, abs=1e-10)
+    assert all(w < 1e-9 for w in cert.lambda_min[1:])
+    terms = {p for p, _ in cert.null_combination.terms}
+    assert terms == set(pairs[6:10])
+    assert eigh_calls == []
 
 
 # ---------------------------------------------------------------------------

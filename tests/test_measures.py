@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 
 from addspec import IntervalUnionMeasure, fourier_transform, support_bounds
 from addspec.errors import MalformedInputError
+from addspec.measures import as_fraction
 
 
 def quad_transform(m, lam):
@@ -123,3 +125,40 @@ def test_json_rejects_garbage():
         IntervalUnionMeasure.from_json({"left": "0"})
     with pytest.raises(MalformedInputError):
         IntervalUnionMeasure.from_json([{"left": "0", "right": "1"}])
+
+
+def _parsed(parse, text):
+    """(numerator, denominator) of ``parse(text)``, or None if it rejects it."""
+    try:
+        f = parse(text)
+    except (ValueError, ZeroDivisionError, MalformedInputError):
+        return None
+    assert type(f) is Fraction
+    return f.numerator, f.denominator
+
+
+PLAIN_EDGES = ["+3", " 3 ", "1_000", "٣", "007", "-0", "0/5", "1/0", "1/-2", "3.5",
+               "1e3", "", "-", "-7/21", "--1", "1/2/3", "/2", "2/", "²", "9" * 5000]
+
+
+def _assert_matches_fraction(text):
+    want = _parsed(Fraction, text)
+    assert _parsed(as_fraction, text) == want, text
+    if want is None:
+        with pytest.raises(MalformedInputError, match=re.escape(f"not a rational: {text!r}")):
+            as_fraction(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.from_regex(r"-?[0-9]{1,25}(/[0-9]{1,25})?", fullmatch=True),
+    st.text(alphabet="0123456789-+/ _.eE٣²", max_size=8),
+    st.text(max_size=6),
+))
+def test_as_fraction_strings_match_fraction(text):
+    _assert_matches_fraction(text)
+
+
+def test_as_fraction_plain_string_edges():
+    for text in PLAIN_EDGES:
+        _assert_matches_fraction(text)
