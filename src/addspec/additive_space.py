@@ -159,10 +159,6 @@ class PiecewisePolynomial:
             if not coeffs:
                 raise MalformedInputError("piece needs at least one coefficient")
 
-    @property
-    def degree(self) -> int:
-        return max(len(coeffs) - 1 for _, _, coeffs in self.pieces)
-
     def __call__(self, x):
         import numpy as np
         from numpy.polynomial.polynomial import polyval
@@ -188,10 +184,6 @@ class PiecewisePolynomial:
     def monomial(cls, intervals, degree: int) -> "PiecewisePolynomial":
         coeffs = (0.0,) * degree + (1.0,)
         return cls(tuple((l, r, coeffs) for l, r in intervals))
-
-    @classmethod
-    def on_support(cls, m: IntervalUnionMeasure, coeffs=(1.0,)) -> "PiecewisePolynomial":
-        return cls(tuple((l, r, tuple(coeffs)) for l, r, _ in m.pieces))
 
 
 def support_intervals(m: IntervalUnionMeasure):

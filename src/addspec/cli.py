@@ -4,8 +4,11 @@ Subcommands: analyze, gram, construct, solve-oe, demo-collinear.  Reports
 separate a deterministic ``body`` (identical config -> identical bytes) from
 a ``meta`` block carrying version and timing; ``construct`` emits the plain
 point-set JSON list so its output feeds straight back into ``--points``.
-Errors surface as a JSON object with a machine-readable code and a distinct
-exit code per class.  The library modules import numpy only inside the
+Every report body goes through one encoder, ``_encode``: an exact rational
+prints as its ``"p/q"`` string and a result record as a dict of its fields, so
+the commands put Fractions and records into their bodies as they are.  Errors
+surface as a JSON object with a machine-readable code and a distinct exit
+code per class.  The library modules import numpy only inside the
 functions that compute with it, so analyze and construct, which call none of
 them, run on the standard library alone.
 """
@@ -14,11 +17,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
 import sys
 import time
+from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import __version__
@@ -116,7 +121,7 @@ def _cmd_analyze(args: argparse.Namespace):
         if loop is None
         else {
             "length": loop.length,
-            "vertices": [[str(p.a), str(p.b)] for p in loop.vertices],
+            "vertices": [[p.a, p.b] for p in loop.vertices],
         },
         "max_zigzag_length": max_zigzag_length(es),
         "density": {},
@@ -189,7 +194,7 @@ def _cmd_construct(args: argparse.Namespace):
         es = spec.pairs
     else:
         raise MalformedInputError(f"unknown construct kind {args.kind!r}")
-    rows = [(str(p.a), str(p.b)) for p in es.points]
+    rows = [(p.a, p.b) for p in es.points]
     return es.to_json(), ("a", "b"), rows
 
 
@@ -206,33 +211,29 @@ def _cmd_solve_oe(args: argparse.Namespace):
     fams = solve_families(t, tp)
     case = classify_case(t, tp)
     body = {
-        "t": str(t),
-        "t_prime": str(tp),
+        "t": t,
+        "t_prime": tp,
         "case": case[0] if case[0] != "symmetric" else f"symmetric:a={case[1]}",
-        "families": [
-            {
-                "kind": f.kind,
-                "offset": str(f.offset),
-                "step": str(f.step),
-                "sign_coupled": f.sign_coupled,
-            }
-            for f in fams
-        ],
+        "families": fams,
     }
     if not fams:
         body["note"] = "outside the solved case table; scan data only"
-    rows = []
-    header = ("lambda1", "lambda2", "residual")
-    for fam in fams:
-        for l1, l2 in fam.members(100):
-            rows.append((float(l1), float(l2), residual(t, tp, float(l1), float(l2))))
+    result = None
     if args.scan:
         result = scan_residual(t, tp, _parse_box(args.box), args.grid, families=fams)
-        body["scan"] = result.to_body()
-        rows.append((result.argmin[0], result.argmin[1], result.min_residual))
+        body["scan"] = result
     if args.classify:
-        body["classification"] = classify_spectrum_candidates(t, args.window, args.anchors).to_body()
-    return body, header, rows
+        body["classification"] = classify_spectrum_candidates(t, args.window, args.anchors)
+
+    def rows():
+        # the residual table is built only when the CSV writer asks for it
+        for fam in fams:
+            for l1, l2 in fam.members(100):
+                yield float(l1), float(l2), residual(t, tp, float(l1), float(l2))
+        if result is not None:
+            yield result.argmin[0], result.argmin[1], result.min_residual
+
+    return body, ("lambda1", "lambda2", "residual"), rows()
 
 
 def _cmd_demo_collinear(args: argparse.Namespace):
@@ -240,11 +241,11 @@ def _cmd_demo_collinear(args: argparse.Namespace):
     const = collinear_failure_demo(a, args.N)
     rand = collinear_failure_demo(a, args.N, g="random", seed=args.seed)
     body = {
-        "slope": str(a),
+        "slope": a,
         "N": args.N,
         "seed": args.seed,
-        "constant_g": const.to_body(),
-        "random_g": rand.to_body(),
+        "constant_g": const,
+        "random_g": rand,
     }
     rows = [
         ("constant", const.ratio),
@@ -270,6 +271,16 @@ def _emit(args: argparse.Namespace, payload: str) -> None:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
             sys.stdout.write("\n")
+
+
+def _encode(value):
+    """JSON form of what the encoder cannot write itself: exact rationals as
+    ``"p/q"`` strings, result records as dicts of their fields."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    raise TypeError(f"{type(value).__name__} is not part of a report body")
 
 
 def run(args: argparse.Namespace) -> int:
@@ -300,7 +311,7 @@ def run(args: argparse.Namespace) -> int:
             "elapsed_ms": round(1000 * (time.perf_counter() - started), 3),
         },
     }
-    _emit(args, json.dumps(report, sort_keys=True, indent=2))
+    _emit(args, json.dumps(report, sort_keys=True, indent=2, default=_encode))
     return 0
 
 
@@ -320,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     def io_flags(sp):
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
         sp.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
-        sp.add_argument("--seed", type=int, default=0)
 
     pa = sub.add_parser("analyze", help="multiplicity, loops, zigzag length, densities")
     pa.add_argument("--points", required=True)
@@ -360,6 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("demo-collinear", help="line spectra fail the lower frame bound")
     pd.add_argument("--a", default="1", help="slope in (0, 1], as p/q")
     pd.add_argument("--N", type=int, default=32)
+    pd.add_argument("--seed", type=int, default=0)
     io_flags(pd)
 
     return p

@@ -103,7 +103,7 @@ def _half_transform_block(axis, rows: slice, cols: slice) -> np.ndarray:
     return out
 
 
-def assemble(s: AdditiveSpace, pairs: Sequence[ExponentPair], cap: int = MATRIX_CAP) -> GramMatrix:
+def assemble(s: AdditiveSpace, pairs: Sequence[ExponentPair]) -> GramMatrix:
     """Gram matrix  ft(mu, a_p - a_q)/2 + ft(nu, b_p - b_q)/2  of a pair list.
 
     One numpy kernel per axis (``_axis_kernel``): per-point phases reduced
@@ -112,22 +112,23 @@ def assemble(s: AdditiveSpace, pairs: Sequence[ExponentPair], cap: int = MATRIX_
     so the diagonal is exactly 1.  The upper triangle is filled ROW_BLOCK
     rows at a time and mirrored by conjugation, so the matrix is exactly
     Hermitian.  Entries stay a few ulps from exact however far the points
-    and the supports sit from 0.
+    and the supports sit from 0.  Duplicates are found on the exact integer
+    grids, so no Fraction is hashed.
     """
     import numpy as np
 
     pairs = tuple(pairs)
-    if len(set(pairs)) != len(pairs):
-        raise MalformedInputError("duplicate pairs in Gram assembly")
     n = len(pairs)
     if n == 0:
         raise MalformedInputError("empty pair list")
-    if n > cap:
-        raise MalformedInputError(f"section size {n} exceeds cap {cap}")
+    if n > MATRIX_CAP:
+        raise MalformedInputError(f"section size {n} exceeds cap {MATRIX_CAP}")
     axes = (
         _axis_kernel(s.mu, [p.a for p in pairs]),
         _axis_kernel(s.nu, [p.b for p in pairs]),
     )
+    if len(set(zip(axes[0][0].tolist(), axes[1][0].tolist()))) != n:
+        raise MalformedInputError("duplicate pairs in Gram assembly")
     g = np.empty((n, n), dtype=complex)
     for start in range(0, n, ROW_BLOCK):
         stop = min(start + ROW_BLOCK, n)
@@ -372,15 +373,6 @@ class CollinearFailureReport:
     frame_sum: float
     energy: float
     ratio: float
-
-    def to_body(self) -> dict:
-        return {
-            "slope": str(self.slope),
-            "n_points": self.n_points,
-            "frame_sum": self.frame_sum,
-            "energy": self.energy,
-            "ratio": self.ratio,
-        }
 
 
 def collinear_failure_demo(a, N: int, g=None, seed: int = 0) -> CollinearFailureReport:

@@ -188,17 +188,6 @@ class ScanResult:
     argmin: Tuple[float, float]
     excluded_kinds: Tuple[str, ...]
 
-    def to_body(self) -> dict:
-        return {
-            "t": str(self.t),
-            "t_prime": str(self.t_prime),
-            "box": [list(self.box[0]), list(self.box[1])],
-            "grid": self.grid,
-            "min_residual": self.min_residual,
-            "argmin": list(self.argmin),
-            "excluded_kinds": list(self.excluded_kinds),
-        }
-
 
 def scan_residual(
     t,
@@ -301,18 +290,6 @@ class SpectrumClassification:
     density_window_estimate: Optional[float]
     window: float
     verdict: str
-
-    def to_body(self) -> dict:
-        return {
-            "t": str(self.t),
-            "a": self.a,
-            "candidate_step": None if self.candidate_step is None else str(self.candidate_step),
-            "projection_step": None if self.projection_step is None else str(self.projection_step),
-            "density_exact": None if self.density_exact is None else str(self.density_exact),
-            "density_window_estimate": self.density_window_estimate,
-            "window": self.window,
-            "verdict": self.verdict,
-        }
 
 
 def classify_spectrum_candidates(

@@ -1,8 +1,13 @@
+import csv
+import io
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from addspec.cli import build_parser, main, run
+from addspec.cli import _encode, build_parser, main, run
+from addspec.ortho_solver import OrthSolutionFamily, residual, solve_families
 
 
 def run_json(tmp_path, args, name="out.json"):
@@ -125,9 +130,60 @@ def test_solve_oe_classify_symmetric(tmp_path):
         ["solve-oe", "--t=-1/3", "--t-prime=-1/3", "--classify"],
     )
     assert code == 0
-    cls = report["body"]["classification"]
+    body = report["body"]
+    cls = body["classification"]
     assert cls["verdict"] == "fails Landau necessary condition"
     assert cls["density_exact"] == "2/3"
+    assert body["t"] == "-1/3"
+    assert cls["candidate_step"] == "3/2"
+    assert body["families"][1]["offset"] == "3/2"
+    assert body["families"][1]["step"] == "3"
+
+
+def test_encode_writes_rationals_and_records():
+    assert _encode(Fraction(-3, 2)) == "-3/2"
+    assert _encode(Fraction(4)) == "4"
+    fam = OrthSolutionFamily("antidiagonal-half-integer", Fraction(1, 2), Fraction(1), True)
+    assert _encode(fam) == {
+        "kind": "antidiagonal-half-integer",
+        "offset": Fraction(1, 2),
+        "step": Fraction(1),
+        "sign_coupled": True,
+    }
+    assert json.dumps(fam, default=_encode, sort_keys=True) == (
+        '{"kind": "antidiagonal-half-integer", "offset": "1/2", "sign_coupled": true, "step": "1"}'
+    )
+
+
+@pytest.mark.parametrize("value", [1 + 2j, np.bool_(True), OrthSolutionFamily])
+def test_encode_rejects_other_values(value):
+    with pytest.raises(TypeError):
+        _encode(value)
+
+
+def test_solve_oe_builds_residual_table_only_for_csv(tmp_path, monkeypatch):
+    import addspec.cli
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(addspec.cli, "residual", counted)
+    code, _ = run_json(tmp_path, ["solve-oe", "--space", "L"])
+    assert code == 0 and calls == []
+    out = tmp_path / "so.csv"
+    assert main(["solve-oe", "--space", "L", "--format", "csv", "--out", str(out)]) == 0
+    assert len(calls) == 200
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("lambda1", "lambda2", "residual"))
+    zero = Fraction(0)
+    for fam in solve_families(zero, zero):
+        for l1, l2 in fam.members(100):
+            writer.writerow((float(l1), float(l2), residual(zero, zero, float(l1), float(l2))))
+    assert out.read_text() == buf.getvalue()
 
 
 def test_solve_oe_unsolved_is_scan_only(tmp_path):

@@ -65,12 +65,19 @@ def test_assemble_known_two_by_two():
 
 
 def test_assemble_rejects_bad_input():
-    with pytest.raises(MalformedInputError):
-        assemble(l_space(), [ExponentPair(0, 0), ExponentPair(0, 0)])
+    for dup in (
+        [ExponentPair(0, 0), ExponentPair(0, 0)],
+        [ExponentPair("1/2", 0), ExponentPair(1, 1), ExponentPair(Fraction(2, 4), 0)],
+        # numerators past 2^62 take the object-dtype grid
+        [ExponentPair(2**70, 1), ExponentPair(2**70, 1)],
+    ):
+        with pytest.raises(MalformedInputError, match="duplicate pairs in Gram assembly"):
+            assemble(l_space(), dup)
     with pytest.raises(MalformedInputError):
         assemble(l_space(), [])
-    with pytest.raises(MalformedInputError):
-        assemble(l_space(), l_space_onb(3).points, cap=4)
+    # 4097 points: over MATRIX_CAP, rejected before any kernel runs
+    with pytest.raises(MalformedInputError, match="exceeds cap 4096"):
+        assemble(l_space(), l_space_onb(2048).points)
     # coordinates whose differences overflow a float
     with pytest.raises(MalformedInputError, match="float range"):
         assemble(l_space(), [ExponentPair(0, 0), ExponentPair(10**308, 0)])
