@@ -67,8 +67,10 @@ _EXPORTS = {
         "alternating_zigzag_norm",
         "assemble",
         "collinear_failure_demo",
+        "constant_pair",
         "extremal_eigenvalues",
         "identity_deviation",
+        "monomial_pair",
         "parseval_residual",
         "riesz_section_certificate",
     ),

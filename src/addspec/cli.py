@@ -8,9 +8,14 @@ Every report body goes through one encoder, ``_encode``: an exact rational
 prints as its ``"p/q"`` string and a result record as a dict of its fields, so
 the commands put Fractions and records into their bodies as they are.  Errors
 surface as a JSON object with a machine-readable code and a distinct exit
-code per class.  The library modules import numpy only inside the
-functions that compute with it, so analyze and construct, which call none of
-them, run on the standard library alone.
+code per class.
+
+This module imports only ``errors``, ``exponents`` and ``measures``.  The
+names it uses from ``gram``, ``ortho_solver``, ``additive_space`` and
+``constructions`` go through the package's first-use loader when a command
+first needs them, so analyze loads none of those modules and construct only
+``constructions``.  No module loads numpy on import, so both run on the
+standard library alone.
 """
 
 from __future__ import annotations
@@ -27,14 +32,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import __version__
-from .additive_space import space_from_name
-from .constructions import (
-    integer_base,
-    l_space_onb,
-    lev_style_set,
-    mirror_spectrum,
-    nonoverlap_riesz_spectrum,
-)
 from .errors import MalformedInputError, ToolkitError
 from .exponents import (
     ExponentSet,
@@ -44,23 +41,25 @@ from .exponents import (
     multiplicity,
     project,
 )
-from .gram import (
-    assemble,
-    collinear_failure_demo,
-    constant_pair,
-    identity_deviation,
-    monomial_pair,
-    parseval_residual,
-    riesz_section_certificate,
-)
 from .measures import IntervalUnionMeasure, as_fraction
-from .ortho_solver import (
-    classify_case,
-    classify_spectrum_candidates,
-    residual,
-    scan_residual,
-    solve_families,
-)
+
+# The commands read the names of gram, ortho_solver, additive_space and
+# constructions as attributes of this module, ``_cli.assemble(...)``: the
+# module ``__getattr__`` below imports each on first use, and a replacement
+# set on this module (a test's or the benchmark tracer's wrapper) is the one
+# called.
+_package = sys.modules[__package__]
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    """Import a package export on first use, through the package's loader,
+    and bind it here, so later lookups are plain global reads."""
+    if name not in _package._HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_package, name)
+    return value
+
 
 IDENTITY_TOL = 1e-12
 
@@ -112,7 +111,7 @@ def _parse_sizes(text: Optional[str], n: int) -> List[int]:
 
 def _cmd_analyze(args: argparse.Namespace):
     es = load_points(args.points)
-    mult, per_line = multiplicity(es)
+    mult, _ = multiplicity(es, per_line=False)
     loop = find_zigzag_loop(es)
     body = {
         "n_points": len(es),
@@ -141,11 +140,11 @@ def _cmd_analyze(args: argparse.Namespace):
 
 
 def _cmd_gram(args: argparse.Namespace):
-    space = space_from_name(args.space)
+    space = _cli.space_from_name(args.space)
     es = load_points(args.points)
     pairs = es.points
     sizes = _parse_sizes(args.sizes, len(pairs))
-    cert = riesz_section_certificate(space, pairs, sizes)
+    cert = _cli.riesz_section_certificate(space, pairs, sizes)
     body = {
         "space": args.space,
         "n_points": len(pairs),
@@ -154,8 +153,8 @@ def _cmd_gram(args: argparse.Namespace):
     if args.check == "identity":
         # reuse the certificate's matrix; it holds only the prefix its sizes
         # need, so a ladder ending below n assembles every point once more
-        full = cert.gram if cert.gram.size == len(pairs) else assemble(space, pairs)
-        dev = identity_deviation(full)
+        full = cert.gram if cert.gram.size == len(pairs) else _cli.assemble(space, pairs)
+        dev = _cli.identity_deviation(full)
         body["identity_check"] = {
             "max_abs_deviation": dev,
             "tolerance": IDENTITY_TOL,
@@ -163,12 +162,12 @@ def _cmd_gram(args: argparse.Namespace):
         }
     if args.parseval:
         fams = [
-            ("constant", constant_pair(space)),
-            ("linear", monomial_pair(space, 1, 1)),
-            ("cubic", monomial_pair(space, 3, 3)),
+            ("constant", _cli.constant_pair(space)),
+            ("linear", _cli.monomial_pair(space, 1, 1)),
+            ("cubic", _cli.monomial_pair(space, 3, 3)),
         ]
         body["parseval"] = [
-            {"test_fn": name, "residual": parseval_residual(space, pairs, fn)}
+            {"test_fn": name, "residual": _cli.parseval_residual(space, pairs, fn)}
             for name, fn in fams
         ]
     rows = list(zip(cert.sizes, cert.lambda_min, cert.lambda_max))
@@ -177,16 +176,16 @@ def _cmd_gram(args: argparse.Namespace):
 
 def _cmd_construct(args: argparse.Namespace):
     if args.kind == "l-onb":
-        es = l_space_onb(args.N)
+        es = _cli.l_space_onb(args.N)
     elif args.kind == "mirror":
-        es = mirror_spectrum(args.k, args.N)
+        es = _cli.mirror_spectrum(args.k, args.N)
     elif args.kind == "lev":
-        es = lev_style_set(args.q, args.depth)
+        es = _cli.lev_style_set(args.q, args.depth)
     elif args.kind == "nonoverlap":
         if args.measure is None:
             raise MalformedInputError("construct nonoverlap needs --measure")
         m = load_measure(args.measure)
-        spec = nonoverlap_riesz_spectrum(m, integer_base(args.N))
+        spec = _cli.nonoverlap_riesz_spectrum(m, _cli.integer_base(args.N))
         print(
             f"tau={spec.tau} epsilon={spec.epsilon} base={len(spec.base)} points",
             file=sys.stderr,
@@ -204,12 +203,12 @@ def _cmd_solve_oe(args: argparse.Namespace):
             raise MalformedInputError("give both --t and --t-prime")
         t, tp = as_fraction(args.t), as_fraction(args.t_prime)
     elif args.space is not None:
-        space = space_from_name(args.space)
+        space = _cli.space_from_name(args.space)
         t, tp = space.mu.pieces[0][0], space.nu.pieces[0][0]
     else:
         raise MalformedInputError("give --space or --t/--t-prime")
-    fams = solve_families(t, tp)
-    case = classify_case(t, tp)
+    fams = _cli.solve_families(t, tp)
+    case = _cli.classify_case(t, tp)
     body = {
         "t": t,
         "t_prime": tp,
@@ -220,16 +219,16 @@ def _cmd_solve_oe(args: argparse.Namespace):
         body["note"] = "outside the solved case table; scan data only"
     result = None
     if args.scan:
-        result = scan_residual(t, tp, _parse_box(args.box), args.grid, families=fams)
+        result = _cli.scan_residual(t, tp, _parse_box(args.box), args.grid, families=fams)
         body["scan"] = result
     if args.classify:
-        body["classification"] = classify_spectrum_candidates(t, args.window, args.anchors)
+        body["classification"] = _cli.classify_spectrum_candidates(t, args.window, args.anchors)
 
     def rows():
         # the residual table is built only when the CSV writer asks for it
         for fam in fams:
             for l1, l2 in fam.members(100):
-                yield float(l1), float(l2), residual(t, tp, float(l1), float(l2))
+                yield float(l1), float(l2), _cli.residual(t, tp, float(l1), float(l2))
         if result is not None:
             yield result.argmin[0], result.argmin[1], result.min_residual
 
@@ -238,8 +237,8 @@ def _cmd_solve_oe(args: argparse.Namespace):
 
 def _cmd_demo_collinear(args: argparse.Namespace):
     a = as_fraction(args.a)
-    const = collinear_failure_demo(a, args.N)
-    rand = collinear_failure_demo(a, args.N, g="random", seed=args.seed)
+    const = _cli.collinear_failure_demo(a, args.N)
+    rand = _cli.collinear_failure_demo(a, args.N, g="random", seed=args.seed)
     body = {
         "slope": a,
         "N": args.N,

@@ -22,6 +22,7 @@ numpy.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -321,17 +322,21 @@ def project(es: ExponentSet, axis: str) -> List[Fraction]:
     return sorted(lines, key=lambda v: (v.numerator // v.denominator, v))
 
 
-def multiplicity(es: ExponentSet):
+def multiplicity(es: ExponentSet, per_line: bool = True):
     """Largest number of points on any vertical or horizontal line.
 
     Returns (max_mult, per_line) where per_line maps each used line to its
-    point count, keyed by axis.
+    point count, keyed by axis.  With ``per_line=False`` the map is not built
+    and None takes its place: the counts stay on integer line ids, and no
+    line's Fraction is hashed.
     """
     if not es.points:
         raise MalformedInputError("empty exponent set")
     per_x = Counter(es.xid)
     per_y = Counter(es.yid)
     max_mult = max(max(per_x.values()), max(per_y.values()))
+    if not per_line:
+        return max_mult, None
     lines = es.lines
     return max_mult, {
         "x": {lines[i]: c for i, c in per_x.items()},
@@ -449,6 +454,8 @@ def lower_beurling_density(proj, window: float, anchors: int = 64) -> float:
     window = float(window)
     if window <= 0:
         raise MalformedInputError("window must be positive")
+    if not math.isfinite(window):
+        raise MalformedInputError(f"window must be finite, got {window}")
     if anchors < 1:
         raise MalformedInputError("need at least one anchor")
     span = vals[-1] - vals[0]

@@ -226,6 +226,10 @@ def scan_residual(
     (x0, x1), (y0, y1) = box
     if not (x1 > x0 and y1 > y0):
         raise MalformedInputError("degenerate scan box")
+    # an infinite or NaN corner, or a width past the float range, leaves a
+    # non-finite width
+    if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+        raise MalformedInputError(f"scan box must be finite, got {box}")
     radius = EXCLUSION_RADIUS * (1 + 1e-9)
     l1s = x0 + (np.arange(grid) + 0.5) * (x1 - x0) / grid
     l2s = y0 + (np.arange(grid) + 0.5) * (y1 - y0) / grid
@@ -303,6 +307,8 @@ def classify_spectrum_candidates(
     non-integer solutions at all; for odd a >= 3 the projection (a/2)Z has
     density 2/a < 1 and fails the Landau necessary condition for frames.
     """
+    if not math.isfinite(window):
+        raise MalformedInputError(f"window must be finite, got {window}")
     t = as_fraction(t)
     case = classify_case(t, t)
     if case[0] == "L":

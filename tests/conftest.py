@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import addspec
 from addspec import ExponentSet, IntervalUnionMeasure, staircase_zigzag
 
 
@@ -25,3 +31,20 @@ def rectangle_points():
 def staircase_8():
     """Unit staircase over 8 points, starting at (1,1) with a vertical move."""
     return staircase_zigzag(7, start=(1, 1))
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run a script in a fresh interpreter that imports this checkout's addspec."""
+    src = str(Path(addspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+
+    def run(script, *args):
+        return subprocess.run(
+            [sys.executable, "-c", script, *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    return run

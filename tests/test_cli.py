@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import addspec
 from addspec.cli import _encode, build_parser, main, run
 from addspec.ortho_solver import OrthSolutionFamily, residual, solve_families
 
@@ -353,3 +354,162 @@ def test_cached_parser_leaks_nothing_between_calls(tmp_path):
         fresh = json.loads(fresh_out.read_text(encoding="utf-8"))
         assert cached["body"] == fresh["body"], argv
     assert "identity_check" not in cached["body"] and "parseval" in cached["body"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--window", "nan"], "window must be finite, got nan"),
+        (["analyze", "--window", "inf"], "window must be finite, got inf"),
+        (["solve-oe", "--space", "L", "--classify", "--window", "nan"],
+         "window must be finite, got nan"),
+        (["solve-oe", "--t=-1/4", "--t-prime=-1/4", "--classify", "--window", "nan"],
+         "window must be finite, got nan"),
+        (["solve-oe", "--space", "L", "--scan", "--box=0,inf,0,1"],
+         "scan box must be finite, got ((0.0, inf), (0.0, 1.0))"),
+    ],
+)
+def test_non_finite_inputs_are_malformed(tmp_path, argv, message):
+    pts = tmp_path / "onb.json"
+    assert main(["construct", "l-onb", "--N", "4", "--out", str(pts)]) == 0
+    if argv[0] == "analyze":
+        argv = argv + ["--points", str(pts)]
+    code, err = run_json(tmp_path, argv, name="err.json")
+    assert code == 3
+    assert err == {"error": {"code": "malformed-input", "message": message}}
+
+
+# ---------------------------------------------------------------------------
+# Per-command imports, each checked in a fresh interpreter.
+# ---------------------------------------------------------------------------
+
+# The names the commands read from the modules this one defers, by module.
+DEFERRED = {
+    "additive_space": ("space_from_name",),
+    "constructions": (
+        "integer_base",
+        "l_space_onb",
+        "lev_style_set",
+        "mirror_spectrum",
+        "nonoverlap_riesz_spectrum",
+    ),
+    "gram": (
+        "assemble",
+        "collinear_failure_demo",
+        "constant_pair",
+        "identity_deviation",
+        "monomial_pair",
+        "parseval_residual",
+        "riesz_section_certificate",
+    ),
+    "ortho_solver": (
+        "classify_case",
+        "classify_spectrum_candidates",
+        "residual",
+        "scan_residual",
+        "solve_families",
+    ),
+}
+
+RUN_COMMANDS = (
+    "import json, sys\n"
+    "for name in json.loads(sys.argv[2]):\n"
+    "    sys.modules[f'addspec.{name}'] = None\n"
+    "from addspec.cli import main\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    if main(argv):\n"
+    "        raise SystemExit(f'{argv} failed')\n"
+    "print(json.dumps([m for m in json.loads(sys.argv[3]) if sys.modules.get(f'addspec.{m}')]))\n"
+)
+
+
+@pytest.fixture
+def command_inputs(tmp_path):
+    """A point file and a measure file for the commands of the import tests."""
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps([[0, 0], [0, 1], [1, 1], [1, 0], [2, 5], ["1/2", "-1/3"]]))
+    measure = tmp_path / "m.json"
+    measure.write_text(json.dumps([{"left": "1", "right": "2", "weight": "1"}]))
+    return pts, measure
+
+
+def commands_of(kind, pts, measure):
+    return {
+        "analyze": [["analyze", "--points", str(pts)]],
+        "construct": [["construct", "l-onb", "--N", "3"], ["construct", "mirror", "--k", "5"],
+                      ["construct", "lev", "--q", "3", "--depth", "4"],
+                      ["construct", "nonoverlap", "--measure", str(measure), "--N", "4"]],
+        "gram": [["gram", "--space", "L", "--points", str(pts), "--sizes", "2,4",
+                  "--check", "identity", "--parseval"]],
+        "solve-oe": [["solve-oe", "--space", "L", "--scan", "--grid", "40", "--classify"],
+                     ["solve-oe", "--t=-1/3", "--t-prime=-1/3", "--format", "csv"]],
+        "demo-collinear": [["demo-collinear", "--a", "1/2", "--N", "8"]],
+    }[kind]
+
+
+# the deferred modules each command loads; every other one is blocked below
+LOADS = {
+    "analyze": [],
+    "construct": ["constructions"],
+    "gram": ["additive_space", "gram"],
+    "solve-oe": ["additive_space", "ortho_solver"],
+    "demo-collinear": ["additive_space", "gram"],
+}
+
+
+@pytest.mark.parametrize("kind", LOADS)
+def test_command_loads_only_the_modules_it_uses(tmp_path, fresh_python, command_inputs, kind):
+    commands = [argv + ["--out", str(tmp_path / f"{i}.out")]
+                for i, argv in enumerate(commands_of(kind, *command_inputs))]
+    proc = fresh_python(RUN_COMMANDS, json.dumps(commands), "[]", json.dumps(list(DEFERRED)))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == LOADS[kind]
+
+
+@pytest.mark.parametrize("kind", LOADS)
+def test_command_bodies_with_unused_modules_blocked(tmp_path, fresh_python, command_inputs, kind):
+    commands = commands_of(kind, *command_inputs)
+    blocked = [module for module in DEFERRED if module not in LOADS[kind]]
+    runs = [argv + ["--out", str(tmp_path / f"blocked_{i}.out")] for i, argv in enumerate(commands)]
+    proc = fresh_python(RUN_COMMANDS, json.dumps(runs), json.dumps(blocked), json.dumps(list(DEFERRED)))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == LOADS[kind]
+    for i, argv in enumerate(commands):
+        normal = tmp_path / f"normal_{i}.out"
+        assert main(argv + ["--out", str(normal)]) == 0
+        got, want = (path.read_text() for path in (tmp_path / f"blocked_{i}.out", normal))
+        if "--format" not in argv and kind != "construct":
+            got, want = (json.loads(text)["body"] for text in (got, want))
+        assert got == want, argv
+
+
+def test_replaced_deferred_names_are_called(tmp_path, fresh_python, command_inputs):
+    names = [name for module in DEFERRED for name in DEFERRED[module]]
+    assert all(addspec._HOME[name] == module for module in DEFERRED for name in DEFERRED[module])
+    commands = [argv + ["--out", str(tmp_path / f"{i}.out")]
+                for i, argv in enumerate(argv for kind in LOADS
+                                         for argv in commands_of(kind, *command_inputs))]
+    script = (
+        "import json, sys\n"
+        "import pytest\n"
+        "import addspec.cli\n"
+        "names, commands, deferred = (json.loads(arg) for arg in sys.argv[1:])\n"
+        "assert not [m for m in deferred if f'addspec.{m}' in sys.modules]\n"
+        "calls = dict.fromkeys(names, 0)\n"
+        "def counted(name, fn):\n"
+        "    def wrapper(*args, **kwargs):\n"
+        "        calls[name] += 1\n"
+        "        return fn(*args, **kwargs)\n"
+        "    return wrapper\n"
+        "with pytest.MonkeyPatch.context() as mp:\n"
+        "    for name in names:\n"
+        "        mp.setattr(addspec.cli, name, counted(name, getattr(addspec.cli, name)))\n"
+        "    for argv in commands:\n"
+        "        assert addspec.cli.main(argv) == 0, argv\n"
+        "print(json.dumps(calls))\n"
+    )
+    proc = fresh_python(script, json.dumps(names), json.dumps(commands), json.dumps(list(DEFERRED)))
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    assert [name for name in names if not calls[name]] == []
+    assert calls["residual"] == 200 and calls["collinear_failure_demo"] == 2

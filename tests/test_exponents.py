@@ -1,10 +1,7 @@
 import json
-import os
-import subprocess
-import sys
+import math
 from collections import Counter, defaultdict
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +139,11 @@ def test_multiplicity(rectangle_points):
     assert multiplicity(ExponentSet.of([(0, 0)]))[0] == 1
     _, per_line = multiplicity(rectangle_points)
     assert per_line["x"][Fraction(1)] == 2
+    stairs = ExponentSet.of(staircase_zigzag(40).vertices)
+    for es in (rectangle_points, l_space_onb(5), lev_style_set(3, 40), stairs):
+        assert multiplicity(es, per_line=False) == (multiplicity(es)[0], None)
+    with pytest.raises(MalformedInputError):
+        multiplicity(ExponentSet.of([]), per_line=False)
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +298,7 @@ def test_loop_witness_is_the_first_loop_completed():
     assert find_zigzag_loop(ExponentSet.of(hexagon + second)).length == 6
 
 
-def fresh_python(script, *args):
-    """Run ``script`` in a fresh interpreter that imports this checkout's addspec."""
-    src = str(Path(addspec.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])
-    ))
-    return subprocess.run(
-        [sys.executable, "-c", script, *args],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-
-
-def test_cli_analyze_runs_without_networkx(tmp_path):
+def test_cli_analyze_runs_without_networkx(tmp_path, fresh_python):
     pts = tmp_path / "rect.json"
     pts.write_text(json.dumps([["1", "1"], ["1", "3"], ["3", "1"], ["3", "3"]]))
     script = (
@@ -323,7 +313,7 @@ def test_cli_analyze_runs_without_networkx(tmp_path):
     assert body["max_zigzag_length"] == UNBOUNDED_BY_LOOP
 
 
-def test_cli_analyze_and_construct_run_without_numpy(tmp_path):
+def test_cli_analyze_and_construct_run_without_numpy(tmp_path, fresh_python):
     rect = tmp_path / "rect.json"
     rect.write_text(json.dumps([["1", "1"], ["1", "3/2"], ["3", "1"], ["6/2", "3/2"], ["5", "-2"]]))
     stairs = tmp_path / "stairs.json"
@@ -358,7 +348,7 @@ def test_cli_analyze_and_construct_run_without_numpy(tmp_path):
     assert body(tmp_path / "blocked_3.json") == lev_style_set(3, 40).to_json()
 
 
-def test_import_loads_no_numpy():
+def test_import_loads_no_numpy(fresh_python):
     proc = fresh_python(
         "import sys, addspec, addspec.cli, addspec.gram, addspec.additive_space, addspec.ortho_solver\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n"
@@ -668,6 +658,9 @@ def test_density_empty_and_errors():
         lower_beurling_density([1, 2], 0)
     with pytest.raises(MalformedInputError):
         lower_beurling_density([1, 2], 5, anchors=0)
+    for window in (math.nan, math.inf):
+        with pytest.raises(MalformedInputError, match="window must be finite"):
+            lower_beurling_density([1, 2], window)
 
 
 # ---------------------------------------------------------------------------

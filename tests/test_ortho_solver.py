@@ -141,6 +141,9 @@ def test_scan_rejects_bad_input():
         scan_residual(0, 0, ((0, 1), (0, 1)), 1)
     with pytest.raises(MalformedInputError):
         scan_residual(0, 0, ((1, 0), (0, 1)), 10)
+    for box in (((0, math.inf), (0, 1)), ((0, 1), (-math.inf, 1)), ((-1e308, 1e308), (0, 1))):
+        with pytest.raises(MalformedInputError, match="scan box must be finite"):
+            scan_residual(0, 0, box, 10)
 
 
 def test_scan_is_deterministic():
