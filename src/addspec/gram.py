@@ -28,10 +28,13 @@ from .additive_space import (
     combination_norm_sq,
     exp_inner,  # unused here; perfbench/tracing.py counts calls through addspec.gram.exp_inner
     frame_coefficients,
+    integer_grid,
     pair_norm_sq,
     plus_space,
     support_intervals,
+    unit_turns,
 )
+from . import additive_space
 from .errors import MalformedInputError
 from .exponents import ExponentSet, ZigzagPath, find_zigzag_loop
 from .measures import IntervalUnionMeasure, as_fraction
@@ -66,22 +69,21 @@ def _axis_kernel(m: IntervalUnionMeasure, coords: Sequence[Fraction]):
     D: an int64 array, or Python ints in an object array once a numerator or
     D reaches 2^62, so that differences never wrap.  Each piece (l, r, w)
     contributes  w * u_i * conj(u_j) * sinc((num_i - num_j) / D * (r - l)),
-    where the unit phase u_i = exp(i pi c_i (l + r)) has c_i (l + r) reduced
-    mod 2 in exact arithmetic before it is rounded.
+    where the unit phase u_i = exp(2 pi i c_i (l + r)/2) has c_i (l + r)/2
+    reduced mod 1 in exact arithmetic (``unit_turns``) before it is rounded.
     """
     import numpy as np
 
-    D = math.lcm(*(c.denominator for c in coords))
-    nums = [c.numerator * (D // c.denominator) for c in coords]
+    nums, D = integer_grid(coords)
     top = max(abs(x) for x in nums)
     if 2 * top > D * int(np.finfo(float).max):
         raise MalformedInputError("exponent coordinates exceed the float range")
     grid = np.array(nums, dtype=np.int64 if max(top, D) < 2**62 else object)
     pieces = []
     for l, r, w in m.pieces:
-        h = (l + r) / D  # c_i (l + r) = num_i * h
-        turns = np.array([x * h.numerator % (2 * h.denominator) / h.denominator for x in nums])
-        pieces.append((0.5 * float(w), np.exp(1j * np.pi * turns), float(r - l)))
+        # c_i (l + r) / 2 = num_i * h, reduced mod 1
+        turns = unit_turns(nums, (l + r) / (2 * D))
+        pieces.append((0.5 * float(w), np.exp(2j * np.pi * turns), float(r - l)))
     return grid, D, pieces
 
 
@@ -270,18 +272,6 @@ def riesz_section_certificate(
     )
 
 
-def _frame_sum_and_energy(
-    s: AdditiveSpace,
-    pairs: Sequence[ExponentPair],
-    test_fn: Tuple[PiecewisePolynomial, PiecewisePolynomial],
-) -> Tuple[float, float]:
-    """(sum over pairs of |<F, e_{a,b}>|^2, ||F||^2) for F = (f, g) on the axes."""
-    import numpy as np
-
-    coeffs = frame_coefficients(s, test_fn, pairs)
-    return float(np.sum(np.abs(coeffs) ** 2)), pair_norm_sq(s, test_fn)
-
-
 def parseval_residual(
     s: AdditiveSpace,
     pairs: Sequence[ExponentPair],
@@ -292,8 +282,10 @@ def parseval_residual(
     For an orthonormal truncation this is the (non-negative) tail energy; for
     a non-orthonormal system it can take either sign.
     """
-    frame_sum, energy = _frame_sum_and_energy(s, tuple(pairs), test_fn)
-    return energy - frame_sum
+    import numpy as np
+
+    coeffs = frame_coefficients(s, test_fn, tuple(pairs))
+    return pair_norm_sq(s, test_fn) - float(np.sum(np.abs(coeffs) ** 2))
 
 
 def loop_alternation(loop: ZigzagPath) -> FiniteCombination:
@@ -391,6 +383,9 @@ def collinear_failure_demo(a, N: int, g=None, seed: int = 0) -> CollinearFailure
     a = as_fraction(a)
     if not (0 < a <= 1):
         raise MalformedInputError(f"slope must be in (0, 1], got {a}")
+    N = int(N)
+    if N < 0:
+        raise MalformedInputError(f"N must be non-negative, got {N}")
     s = plus_space()
     if g is None:
         g = PiecewisePolynomial.constant(support_intervals(s.nu), 1.0)
@@ -410,13 +405,21 @@ def collinear_failure_demo(a, N: int, g=None, seed: int = 0) -> CollinearFailure
         )
     )
     f = g_rescaled.negated()
-    line = [ExponentPair(n, a * n) for n in range(-int(N), int(N) + 1)]
-    frame_sum, energy = _frame_sum_and_energy(s, line, (f, g))
+    # <F, e_{n, a n}> for n = -N..N: the frequencies -n and -n p/q of the line
+    # points as integer numerators.  The module attribute is called, so that
+    # perfbench/tracing.py counts these integrals with the others.
+    neg = range(N, -N - 1, -1)
+    integral = additive_space.measure_integral
+    coeffs = 0.5 * integral(s.mu, f, list(neg)) + 0.5 * integral(
+        s.nu, g, [n * a.numerator for n in neg], denominator=a.denominator
+    )
+    frame_sum = float(np.sum(np.abs(coeffs) ** 2))
+    energy = pair_norm_sq(s, (f, g))
     if energy <= 0:
         raise MalformedInputError("test function is numerically zero")
     return CollinearFailureReport(
         slope=a,
-        n_points=len(line),
+        n_points=len(neg),
         frame_sum=frame_sum,
         energy=energy,
         ratio=frame_sum / energy,

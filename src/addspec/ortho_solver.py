@@ -309,6 +309,8 @@ def classify_spectrum_candidates(
     """
     if not math.isfinite(window):
         raise MalformedInputError(f"window must be finite, got {window}")
+    if not window > 0:
+        raise MalformedInputError("window must be positive")
     t = as_fraction(t)
     case = classify_case(t, t)
     if case[0] == "L":

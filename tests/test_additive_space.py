@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,6 +197,72 @@ def test_measure_integral_against_quad(unit_measure):
         batched = measure_integral(m, f, freqs)
         assert batched.shape == freqs.shape
         assert np.max(np.abs(batched - scalars)) < 1e-13
+
+
+# rational endpoints with large denominators, shifted by offsets up to 1e6
+cut_points = st.fractions(min_value=0, max_value=3, max_denominator=10**9)
+offsets = st.one_of(st.sampled_from([0, -1, 999_999, -1_000_000]), st.integers(-10**6, 10**6))
+# parts of at least 1e-100, or 0, keep every value clear of the subnormal range
+coefficient_parts = st.floats(min_value=-1, max_value=1).filter(lambda x: x == 0 or abs(x) >= 1e-100)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.lists(st.builds(complex, coefficient_parts, coefficient_parts), min_size=1, max_size=7),
+    cuts=st.lists(cut_points, min_size=2, max_size=4, unique=True),
+    span=st.lists(cut_points, min_size=2, max_size=2, unique=True),
+    offset=offsets,
+    far=st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=3),
+    rational=st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9),
+)
+def test_measure_integral_matches_mpmath_reference(
+    mp_integral, coeffs, cuts, span, offset, far, rational
+):
+    # degrees 0-6 on one function piece against a measure of 1-3 pieces, at
+    # f = 0, far float and rational frequencies, and omega = 2 pi f half just
+    # below and above each switch k + 1 between the series and the recurrence
+    cuts = sorted(cuts)
+    m = IntervalUnionMeasure(tuple(
+        (offset + l, offset + r, Fraction(1, len(cuts) - 1)) for l, r in zip(cuts, cuts[1:])
+    ))
+    lo, hi = sorted(span)
+    fn = PiecewisePolynomial(((offset + lo, offset + hi, tuple(coeffs)),))
+    half = float(hi - lo) / 2
+    freqs = [0.0, 1e-7, rational, *far] + [
+        (k + 1) * (1 + side * 1e-9) / (2 * math.pi * half)
+        for k in range(len(coeffs)) for side in (-1, 1)
+    ]
+    got = measure_integral(m, fn, freqs)
+    # the conditioning of the integral: dens * length * sum |c_k| |x|^k on each overlap
+    bound = 0.0
+    for ml, mr, w in m.pieces:
+        a, b = max(ml, fn.pieces[0][0]), min(mr, fn.pieces[0][1])
+        if a < b:
+            x = float(max(abs(a), abs(b)))
+            size = sum(abs(c) * x**k for k, c in enumerate(coeffs))
+            bound += float(w * (b - a) / (mr - ml)) * size
+    for f, value in zip(freqs, got):
+        want = complex(mp_integral(m, fn, f))
+        assert abs(value - want) <= 1e-14 * bound, (f, value, want, bound)
+
+
+def test_measure_integral_takes_exact_frequencies(mp_integral):
+    # ints, Fractions and integer numerators over a denominator give one value;
+    # a Fraction with a large denominator far out keeps its exact phase
+    m = IntervalUnionMeasure.unit_interval(999_999)
+    fn = PiecewisePolynomial(((Fraction(999_999), Fraction(1_000_000), (0.5, -1.0, 0.25)),))
+    f = Fraction(123_456_789_012, 1_000_003)
+    as_fraction_value = measure_integral(m, fn, f)
+    as_numerators = measure_integral(m, fn, [f.numerator], denominator=f.denominator)
+    assert as_numerators.shape == (1,) and as_numerators[0] == as_fraction_value
+    with mpmath.workdps(40):
+        want = complex(mp_integral(m, fn, f))
+        scale = float(abs(mp_integral(m, fn, 0)))
+    assert abs(as_fraction_value - want) <= 1e-15 * scale
+    ints = measure_integral(m, fn, np.arange(-3, 4))
+    assert ints[3] == measure_integral(m, fn, 0) == measure_integral(m, fn, 0.0)
+    with pytest.raises(MalformedInputError):
+        measure_integral(m, fn, [1.0, float("nan")])
 
 
 def test_measure_norm_sq_exact(unit_measure):

@@ -379,6 +379,30 @@ def test_non_finite_inputs_are_malformed(tmp_path, argv, message):
     assert err == {"error": {"code": "malformed-input", "message": message}}
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve-oe", "--space", "L", "--classify", "--window", "-5"], "window must be positive"),
+        (["solve-oe", "--t=-1/4", "--t-prime=-1/4", "--classify", "--window", "-5"],
+         "window must be positive"),
+        (["solve-oe", "--space", "L", "--classify", "--window", "0"], "window must be positive"),
+        (["demo-collinear", "--a", "1/2", "--N", "-3"], "N must be non-negative, got -3"),
+    ],
+)
+def test_out_of_range_inputs_are_malformed(tmp_path, argv, message):
+    code, err = run_json(tmp_path, argv, name="err.json")
+    assert code == 3
+    assert err == {"error": {"code": "malformed-input", "message": message}}
+
+
+def test_demo_collinear_single_point(tmp_path):
+    code, report = run_json(tmp_path, ["demo-collinear", "--a", "1/2", "--N", "0"])
+    assert code == 0
+    for key in ("constant_g", "random_g"):
+        assert report["body"][key]["n_points"] == 1
+        assert report["body"][key]["ratio"] < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # Per-command imports, each checked in a fresh interpreter.
 # ---------------------------------------------------------------------------
@@ -481,6 +505,26 @@ def test_command_bodies_with_unused_modules_blocked(tmp_path, fresh_python, comm
         if "--format" not in argv and kind != "construct":
             got, want = (json.loads(text)["body"] for text in (got, want))
         assert got == want, argv
+
+
+def test_quadrature_commands_leave_numpy_polynomial_unloaded(
+    tmp_path, fresh_python, command_inputs
+):
+    # the test-function integrals are exact moments, with no numpy.polynomial rule
+    commands = [argv + ["--out", str(tmp_path / f"{i}.out")]
+                for i, argv in enumerate(commands_of("gram", *command_inputs)
+                                         + commands_of("demo-collinear", *command_inputs))]
+    assert any("--parseval" in argv for argv in commands)
+    script = (
+        "import json, sys\n"
+        "from addspec.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('numpy.polynomial'))))\n"
+    )
+    proc = fresh_python(script, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_replaced_deferred_names_are_called(tmp_path, fresh_python, command_inputs):

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -423,13 +424,54 @@ def test_parseval_failure_on_t_space_block():
 
 
 def test_parseval_builds_few_quadrature_rules():
-    # one rule per overlap for the whole frame sum, one for the energy
+    # the integrals are exact moments: no Gauss-Legendre rule is built
     s = l_space()
     pairs = l_space_onb(32).points
     for fn in (constant_pair(s), monomial_pair(s, 1, 1), monomial_pair(s, 3, 3)):
         _leggauss.cache_clear()
         parseval_residual(s, pairs, fn)
-        assert _leggauss.cache_info().misses <= 4
+        assert _leggauss.cache_info().misses == 0
+
+
+def mp_norm_sq(mp_integral, m, fn):
+    """Reference integral of |fn|^2 dm: sum of c_j conj(c_k) times the moment of x^(j+k)."""
+    total = mpmath.mpf(0)
+    for l, r, coeffs in fn.pieces:
+        for j, cj in enumerate(coeffs):
+            for k, ck in enumerate(coeffs):
+                mono = PiecewisePolynomial(((l, r, (0.0,) * (j + k) + (1.0,)),))
+                total += (mpmath.mpc(cj) * mpmath.mpc(ck).conjugate() * mp_integral(m, mono, 0)).real
+    return total
+
+
+@pytest.mark.parametrize(
+    "space, points",
+    [
+        ("L", [(0, 0), (4000, 0)]),
+        ("L", [(0, 0), (1000, 0), (0, 3000), ("1/3", "-7/2")]),
+        ("L", "onb"),
+        ("Symmetric:t=1", "onb"),
+        ("Symmetric:t=999999", "onb"),
+        ("Symmetric:t=1000000000", [(0, 0), (0, 1), (1, 1), (1, 0), (2, 5), ("1/2", "-1/3")]),
+    ],
+)
+def test_parseval_residuals_match_mpmath_reference(mp_integral, space, points):
+    # 40-digit closed forms of the frame coefficients and the energy; the
+    # residual is a difference of numbers the size of the energy, which is
+    # 1e12 and more for x and x^3 on [999999, 1000000], so the bound scales
+    # with it above 100
+    s = space_from_name(space)
+    pairs = l_space_onb(64).points if points == "onb" else ExponentSet.of(points).points
+    fams = (constant_pair(s), monomial_pair(s, 1, 1), monomial_pair(s, 3, 3))
+    for f, g in fams:
+        with mpmath.workdps(40):
+            frame = mpmath.fsum(
+                abs(mp_integral(s.mu, f, -p.a) / 2 + mp_integral(s.nu, g, -p.b) / 2) ** 2
+                for p in pairs
+            )
+            energy = mp_norm_sq(mp_integral, s.mu, f) / 2 + mp_norm_sq(mp_integral, s.nu, g) / 2
+            want = float(energy - frame)
+        assert abs(parseval_residual(s, pairs, (f, g)) - want) < 1e-14 * max(100.0, float(energy))
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +528,41 @@ def test_collinear_random_g():
 
 
 def test_collinear_builds_few_quadrature_rules():
-    # 129 line frequencies share one rule per test function, plus the energy's
+    # the integrals over the 129 line frequencies are exact moments: no rule is built
     _leggauss.cache_clear()
     collinear_failure_demo(1, 64)
     collinear_failure_demo(1, 64, g="random", seed=0)
-    assert _leggauss.cache_info().misses <= 4
+    assert _leggauss.cache_info().misses == 0
+
+
+@pytest.mark.parametrize(
+    "a, N, g, seed",
+    [(1, 16, None, 0), (Fraction(1, 2), 32, None, 0), (1, 16, "random", 5),
+     (Fraction(127, 255), 256, "random", 11), (Fraction(999_999_999, 1_000_000_000), 64, "random", 2),
+     (Fraction(1, 3), 0, None, 0)],
+)
+def test_collinear_fields_match_mpmath_reference(mp_integral, a, N, g, seed):
+    # every frame coefficient is exactly 0, and ||F||^2 = (1/a + 1) ||g||^2 / 2
+    # since f is g rescaled onto [-a/2, a/2]
+    a = Fraction(a)
+    r = collinear_failure_demo(a, N, g=g, seed=seed)
+    s = plus_space()
+    if g is None:
+        g = PiecewisePolynomial.constant(support_intervals(s.nu), 1.0)
+    else:
+        g = random_piecewise_linear(support_intervals(s.nu), np.random.default_rng(seed), splits=2)
+    with mpmath.workdps(40):
+        inv_a = mpmath.mpf(a.denominator) / a.numerator
+        energy = float((inv_a + 1) * mp_norm_sq(mp_integral, s.nu, g) / 2)
+    assert r.n_points == 2 * N + 1
+    assert abs(r.energy - energy) < 1e-12
+    assert 0 <= r.frame_sum < 1e-12 and 0 <= r.ratio < 1e-12
+
+
+def test_collinear_rejects_negative_n():
+    with pytest.raises(MalformedInputError, match="N must be non-negative"):
+        collinear_failure_demo(Fraction(1, 2), -3)
+    assert collinear_failure_demo(Fraction(1, 2), 0).n_points == 1
 
 
 def test_collinear_rejects_bad_slope():

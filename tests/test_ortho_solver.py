@@ -312,6 +312,14 @@ def test_classify_even_case_empty():
     assert c.density_window_estimate is None
 
 
+@pytest.mark.parametrize("t", [0, Fraction(-1, 3), Fraction(-1, 4)])
+@pytest.mark.parametrize("window", [-5.0, -1e-300, 0.0])
+def test_classify_rejects_non_positive_window(t, window):
+    # a window of no length gives no candidates, whose density would read 0
+    with pytest.raises(MalformedInputError, match="window must be positive"):
+        classify_spectrum_candidates(t, window=window)
+
+
 def test_classify_rejects_unsolved():
     with pytest.raises(UnsolvedCaseError):
         classify_spectrum_candidates(Fraction(-1, 2))
