@@ -20,7 +20,6 @@ _EXPORTS = {
         "AdditiveSpace",
         "FiniteCombination",
         "PiecewisePolynomial",
-        "combination_norm_sq",
         "exp_inner",
         "l_space",
         "plus_space",
@@ -67,6 +66,7 @@ _EXPORTS = {
         "alternating_zigzag_norm",
         "assemble",
         "collinear_failure_demo",
+        "combination_norm_sq",
         "constant_pair",
         "extremal_eigenvalues",
         "identity_deviation",

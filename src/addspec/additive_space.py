@@ -5,16 +5,14 @@ has projections e_a and e_b, so
 
     <e_{a,b}, e_{u,v}>_rho = ft(mu, a-u)/2 + ft(nu, b-v)/2,
 
-which makes every Gram entry a two-term closed form.  ``exp_inner`` is the
-scalar reference: it passes the exact Fraction differences, so the phase is
-reduced mod 2 exactly (see ``measures.fourier_transform``); ``gram.assemble``
-evaluates the same closed form for a whole section at once, with the phase
-split into exactly reduced per-point factors.  General functions are
-supported only as piecewise polynomials, integrated in closed form: on each
-overlap of a measure piece and a function piece, the moments of t^k
-e^{i omega t} on [-1, 1] for all frequencies at once, and the phases reduced
-mod 1 exactly from the rational frequencies and endpoints.  The cost does
-not grow with |freq|, and the values stay a few ulps from exact.
+which makes every Gram entry a two-term closed form: ``exp_inner`` takes one
+entry and ``gram.assemble`` a whole section, both from the difference kernel
+``measures.transform_at``.  General functions are supported only as
+piecewise polynomials, integrated in closed form: on each overlap of a
+measure piece and a function piece, the moments of t^k e^{i omega t} on
+[-1, 1] for all frequencies at once, with the phases reduced exactly by
+``measures.unit_phase``.  The cost does not grow with |freq|, and the values
+stay a few ulps from exact.
 
 The exponent pairs themselves, ``ExponentPair``, are defined in ``exponents``
 (which needs no numpy) and imported here, so
@@ -33,7 +31,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import MalformedInputError
 from .exponents import ExponentPair
-from .measures import IntervalUnionMeasure, as_fraction, fourier_transform
+from .measures import IntervalUnionMeasure, as_fraction, fourier_transform, unit_phase
 
 
 @dataclass(frozen=True)
@@ -104,18 +102,7 @@ class FiniteCombination:
 
 def exp_inner(s: AdditiveSpace, p: ExponentPair, q: ExponentPair) -> complex:
     """Inner product of two exponentials in L^2(rho); Hermitian, unit diagonal."""
-    if p == q:
-        return complex(1.0)
     return 0.5 * fourier_transform(s.mu, p.a - q.a) + 0.5 * fourier_transform(s.nu, p.b - q.b)
-
-
-def combination_norm_sq(s: AdditiveSpace, c: FiniteCombination) -> float:
-    """Squared norm of a finite combination via the exact quadratic form."""
-    total = 0j
-    for p, cp in c.terms:
-        for q, cq in c.terms:
-            total += cp * cq.conjugate() * exp_inner(s, p, q)
-    return total.real
 
 
 def projection_coefficients(c: FiniteCombination, axis: str) -> Dict[Fraction, complex]:
@@ -203,15 +190,6 @@ def integer_grid(fracs: Sequence[Fraction]) -> Tuple[List[int], int]:
     """Fractions as integer numerators over their least common denominator D."""
     D = math.lcm(*(f.denominator for f in fracs))
     return [f.numerator * (D // f.denominator) for f in fracs], D
-
-
-def unit_turns(nums: Sequence[int], h: Fraction):
-    """x * h mod 1 for each integer x, reduced exactly, as floats in [0, 1)."""
-    import numpy as np
-
-    p, q = h.numerator, h.denominator
-    # true division of Python ints rounds correctly however large they are
-    return np.array([x * p % q / q for x in nums], dtype=float)
 
 
 def _moment_series(omega, degree: int):
@@ -315,11 +293,11 @@ def measure_integral(
                 continue
             mid, half = (lo + hi) / 2, (hi - lo) / 2
             omega = (2 * np.pi * float(half)) * f
-            e_pos = np.exp(2j * np.pi * unit_turns(nums, half / D))
+            e_pos = unit_phase(nums, half / D)
             J = _moments(omega, e_pos, len(coeffs) - 1)
             q = _shifted(coeffs, float(mid), float(half))
             scale = float(w * half / (mr - ml))
-            total += scale * np.exp(2j * np.pi * unit_turns(nums, mid / D)) * (q @ J)
+            total += scale * unit_phase(nums, mid / D) * (q @ J)
     return complex(total[0]) if freqs.ndim == 0 else total.reshape(freqs.shape)
 
 
@@ -342,8 +320,6 @@ def frame_coefficients(
     pairs: Sequence[ExponentPair],
 ) -> np.ndarray:
     """<F, e_{a,b}> in L^2(rho) for each pair, F given by its axis projections (f, g)."""
-    import numpy as np
-
     f, g = fn_pair
     a = [-p.a for p in pairs]
     b = [-p.b for p in pairs]

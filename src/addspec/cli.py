@@ -221,6 +221,9 @@ def _cmd_solve_oe(args: argparse.Namespace):
     if args.scan:
         result = _cli.scan_residual(t, tp, _parse_box(args.box), args.grid, families=fams)
         body["scan"] = result
+        if result.min_residual == float("inf"):
+            # every cell was excluded: there is no minimum to report
+            body["scan"] = {**_encode(result), "min_residual": None, "argmin": None}
     if args.classify:
         body["classification"] = _cli.classify_spectrum_candidates(t, args.window, args.anchors)
 
@@ -310,7 +313,7 @@ def run(args: argparse.Namespace) -> int:
             "elapsed_ms": round(1000 * (time.perf_counter() - started), 3),
         },
     }
-    _emit(args, json.dumps(report, sort_keys=True, indent=2, default=_encode))
+    _emit(args, json.dumps(report, sort_keys=True, indent=2, default=_encode, allow_nan=False))
     return 0
 
 

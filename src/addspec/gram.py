@@ -25,19 +25,17 @@ from .additive_space import (
     ExponentPair,
     FiniteCombination,
     PiecewisePolynomial,
-    combination_norm_sq,
     exp_inner,  # unused here; perfbench/tracing.py counts calls through addspec.gram.exp_inner
     frame_coefficients,
     integer_grid,
     pair_norm_sq,
     plus_space,
     support_intervals,
-    unit_turns,
 )
 from . import additive_space
 from .errors import MalformedInputError
 from .exponents import ExponentSet, ZigzagPath, find_zigzag_loop
-from .measures import IntervalUnionMeasure, as_fraction
+from .measures import INT64_SAFE, IntervalUnionMeasure, as_fraction, transform_at
 
 MATRIX_CAP = 4096
 
@@ -62,15 +60,14 @@ class GramMatrix:
 ROW_BLOCK = 32
 
 
-def _axis_kernel(m: IntervalUnionMeasure, coords: Sequence[Fraction]):
-    """Exact grid of one axis and the per-piece factors of ft(m, c_i - c_j).
+def _half_rows(m: IntervalUnionMeasure, coords: Sequence[Fraction]):
+    """One axis: its grid, and ``rows(rows, out)`` writing ft(m, c_i - c_j)/2 rows.
 
-    The coordinates become integer numerators over their common denominator
-    D: an int64 array, or Python ints in an object array once a numerator or
-    D reaches 2^62, so that differences never wrap.  Each piece (l, r, w)
-    contributes  w * u_i * conj(u_j) * sinc((num_i - num_j) / D * (r - l)),
-    where the unit phase u_i = exp(2 pi i c_i (l + r)/2) has c_i (l + r)/2
-    reduced mod 1 in exact arithmetic (``unit_turns``) before it is rounded.
+    The grid holds integer numerators over the common denominator: int64, or
+    Python ints once a numerator or D reaches 2^62, so differences never
+    wrap.  If the span is small next to n^2, rows are gathered from
+    ``transform_at`` on every difference in the span, extended by
+    ft(-d) = conj ft(d); otherwise (a huge gap, say) each row block runs it.
     """
     import numpy as np
 
@@ -78,44 +75,34 @@ def _axis_kernel(m: IntervalUnionMeasure, coords: Sequence[Fraction]):
     top = max(abs(x) for x in nums)
     if 2 * top > D * int(np.finfo(float).max):
         raise MalformedInputError("exponent coordinates exceed the float range")
-    grid = np.array(nums, dtype=np.int64 if max(top, D) < 2**62 else object)
-    pieces = []
-    for l, r, w in m.pieces:
-        # c_i (l + r) / 2 = num_i * h, reduced mod 1
-        turns = unit_turns(nums, (l + r) / (2 * D))
-        pieces.append((0.5 * float(w), np.exp(2j * np.pi * turns), float(r - l)))
-    return grid, D, pieces
+    grid = np.array(nums, dtype=np.int64 if max(top, D) < INT64_SAFE else object)
+    low = grid.min()
+    span = int(grid.max() - low)
+    table = None
+    if 2 * span + 1 <= len(grid) ** 2 / 4:
+        half = 0.5 * transform_at(m, np.arange(span + 1), D)
+        table = np.concatenate((half[:0:-1].conj(), half))
+        at = np.asarray(grid - low, dtype=np.int64)
 
+    def rows(sl, out):
+        if table is not None:
+            return np.take(table, at[sl, None] - (at - span), out=out, mode="clip")
+        diff = grid[sl, None] - grid
+        np.multiply(transform_at(m, np.abs(diff), D), 0.5, out=out)
+        return np.conjugate(out, out=out, where=diff < 0)
 
-def _half_transform_block(axis, rows: slice, cols: slice) -> np.ndarray:
-    """ft(m, c_i - c_j) / 2 for i in rows, j in cols; exactly 1/2 where c_i == c_j."""
-    import numpy as np
-
-    grid, D, pieces = axis
-    diff = grid[rows, None] - grid[None, cols]
-    # true division rounds correctly for Python ints of any size
-    x = np.asarray(diff / D, dtype=float)
-    out = np.zeros(diff.shape, dtype=complex)
-    for half_w, u, width in pieces:
-        term = np.multiply.outer(u[rows], u[cols].conj())
-        term *= np.sinc(x * width)
-        term *= half_w
-        out += term
-    out[diff == 0] = 0.5
-    return out
+    return grid, rows
 
 
 def assemble(s: AdditiveSpace, pairs: Sequence[ExponentPair]) -> GramMatrix:
     """Gram matrix  ft(mu, a_p - a_q)/2 + ft(nu, b_p - b_q)/2  of a pair list.
 
-    One numpy kernel per axis (``_axis_kernel``): per-point phases reduced
-    exactly, exact integer coordinate differences, ``np.sinc`` per piece.
-    An axis on which two points agree contributes exactly ft(m, 0)/2 = 1/2,
-    so the diagonal is exactly 1.  The upper triangle is filled ROW_BLOCK
-    rows at a time and mirrored by conjugation, so the matrix is exactly
-    Hermitian.  Entries stay a few ulps from exact however far the points
-    and the supports sit from 0.  Duplicates are found on the exact integer
-    grids, so no Fraction is hashed.
+    Each axis evaluates ``measures.transform_at`` at exact coordinate
+    differences (``_half_rows``), ROW_BLOCK rows at a time.  ft(m, 0) is
+    exactly 1, so the diagonal is exactly 1, and the entry at differences
+    (-d, -e) is the conjugate of the one at (d, e), so the matrix is exactly
+    Hermitian; entries are a few ulps from exact however far the points or
+    supports sit from 0.  Duplicates are found on the exact integer grids.
     """
     import numpy as np
 
@@ -125,24 +112,27 @@ def assemble(s: AdditiveSpace, pairs: Sequence[ExponentPair]) -> GramMatrix:
         raise MalformedInputError("empty pair list")
     if n > MATRIX_CAP:
         raise MalformedInputError(f"section size {n} exceeds cap {MATRIX_CAP}")
-    axes = (
-        _axis_kernel(s.mu, [p.a for p in pairs]),
-        _axis_kernel(s.nu, [p.b for p in pairs]),
-    )
-    if len(set(zip(axes[0][0].tolist(), axes[1][0].tolist()))) != n:
+    grid_x, x_rows = _half_rows(s.mu, [p.a for p in pairs])
+    grid_y, y_rows = _half_rows(s.nu, [p.b for p in pairs])
+    if len(set(zip(grid_x.tolist(), grid_y.tolist()))) != n:
         raise MalformedInputError("duplicate pairs in Gram assembly")
     g = np.empty((n, n), dtype=complex)
+    buf = np.empty((ROW_BLOCK, n), dtype=complex)
     for start in range(0, n, ROW_BLOCK):
-        stop = min(start + ROW_BLOCK, n)
-        rows, cols = slice(start, stop), slice(start, n)
-        upper = g[rows, cols]
-        half_mu, half_nu = (_half_transform_block(axis, rows, cols) for axis in axes)
-        np.add(half_mu, half_nu, out=upper)
-        g[stop:, rows] = upper[:, stop - start :].conj().T
-        square = g[rows, rows]
-        square[...] = np.triu(square) + np.triu(square, 1).conj().T
+        rows = slice(start, start + ROW_BLOCK)
+        block = x_rows(rows, g[rows])
+        block += y_rows(rows, buf[: len(block)])
     g.flags.writeable = False
     return GramMatrix(pairs, g)
+
+
+def combination_norm_sq(s: AdditiveSpace, c: FiniteCombination) -> float:
+    """Squared norm  sum of c_p conj(c_q) <e_p, e_q>  on the assembled Gram matrix."""
+    import numpy as np
+
+    g = assemble(s, [p for p, _ in c.terms]).entries
+    v = np.array([coeff for _, coeff in c.terms])
+    return float((v @ (g @ v.conj())).real)
 
 
 def identity_deviation(g: GramMatrix) -> float:

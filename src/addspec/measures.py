@@ -7,15 +7,14 @@ the closed form
 
     weight * exp(pi*i*lam*(left+right)) * S(pi*lam*(right-left)),
 
-with S(z) = sin(z)/z.  The frequency is taken exactly and the phase
-lam*(left+right) is reduced mod 2 in exact arithmetic before it is rounded,
-so every transform value is a few ulps from exact however far lam or the
-support sits from 0.
+with S(z) = sin(z)/z.  ``transform_at`` evaluates it at frequencies d/D, for
+integers d over a common denominator D, with every phase reduced mod 1 in
+integer arithmetic before it is rounded, so each value is a few ulps from
+exact however far the frequency or the support sits from 0.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,14 +51,6 @@ def as_fraction(value: RationalLike) -> Fraction:
             raise MalformedInputError(f"not a finite rational: {value!r}")
         return Fraction(value)
     raise MalformedInputError(f"not a rational: {value!r}")
-
-
-def _sin_over(z: float) -> float:
-    # series below the cutoff avoids 0/0 at the removable singularity
-    if abs(z) < 1e-6:
-        z2 = z * z
-        return 1.0 - z2 / 6.0 + z2 * z2 / 120.0
-    return math.sin(z) / z
 
 
 @dataclass(frozen=True)
@@ -120,22 +111,61 @@ class IntervalUnionMeasure:
         return cls.from_pieces(pieces)
 
 
+INT64_SAFE = 2**62  # int64 holds every product of the phase reductions below it
+
+
+def unit_phase(nums, h: Fraction):
+    """exp(2 pi i x h) at each integer x of ``nums``, with h = p/q.
+
+    x p mod q is reduced exactly (p mod q first), in int64 while |x| q < 2^62
+    and in Python ints past that, then divided by q, rounded and centred in
+    [-1/2, 1/2).  With fewer residues q than entries, each is evaluated once.
+    """
+    import numpy as np
+
+    q = h.denominator
+    x = np.asarray(nums)
+    if x.dtype == object or int(np.abs(x).max(initial=1)) * q >= INT64_SAFE:
+        x = x.astype(object)
+    k = x * (h.numerator % q) % q
+    table = q < k.size
+    # true division rounds correctly for Python ints of any size
+    t = np.asarray((np.arange(q) if table else k) / q, dtype=float)
+    t[t >= 0.5] -= 1
+    phase = np.exp(2j * np.pi * t)
+    return phase[k.astype(np.intp)] if table else phase
+
+
+def transform_at(m: IntervalUnionMeasure, diffs, D: int):
+    """ft(m, d / D) at each non-negative integer d of ``diffs``; exactly 1 at d = 0.
+
+    Piece (l, r, w) contributes  w exp(2 pi i d (l + r) / (2D)) sin(z) / z,
+    z = pi d (r - l) / D, with both phases reduced by ``unit_phase``.
+    """
+    import numpy as np
+
+    d = np.asarray(diffs, dtype=object if D >= INT64_SAFE else None)
+    lam_pi = np.pi * np.asarray(d / D, dtype=float)
+    out = np.zeros(d.shape, dtype=complex)
+    for l, r, w in m.pieces:
+        sine = unit_phase(d, (r - l) / (2 * D)).imag
+        z = lam_pi * float(r - l)
+        # sin(z)/z rounds to 1 below |z| = 1e-8, where z may also be subnormal
+        sinc = np.divide(sine, z, out=np.ones_like(z), where=np.abs(z) >= 1e-8)
+        out += unit_phase(d, (l + r) / (2 * D)) * (float(w) * sinc)
+    out[d == 0] = 1
+    return out
+
+
 def fourier_transform(m: IntervalUnionMeasure, lam) -> complex:
     """Return the transform  integral of e^{2 pi i lam x} dm(x)  in closed form.
 
-    Exactly 1 at lam = 0; finite lam only.  ``lam`` is taken exactly (a float
-    by its exact binary value) and the phase lam*(l+r) is reduced mod 2
-    before rounding, so the value stays a few ulps from exact however far
-    lam or the support is from 0.
+    Finite lam only, taken exactly (a float by its exact binary value): one
+    entry of ``transform_at``, exactly 1 at lam = 0.
     """
     lam = as_fraction(lam)
-    if lam == 0:
-        return complex(1.0)
-    out = 0j
-    for l, r, w in m.pieces:
-        phase = cmath.exp(1j * math.pi * float(lam * (l + r) % 2))
-        out += float(w) * phase * _sin_over(math.pi * float(lam * (r - l)))
-    return out
+    value = complex(transform_at(m, [abs(lam.numerator)], lam.denominator)[0])
+    return value if lam >= 0 else value.conjugate()
 
 
 def support_bounds(m: IntervalUnionMeasure) -> Tuple[Fraction, Fraction]:

@@ -141,6 +141,20 @@ def test_solve_oe_classify_symmetric(tmp_path):
     assert body["families"][1]["step"] == "3"
 
 
+def test_empty_scan_writes_nulls(tmp_path):
+    # every cell of the box lies in an exclusion ball around (1, 1)
+    box = "--box=0.9999,1.0001,0.9999,1.0001"
+    out = tmp_path / "scan.json"
+    assert main(["solve-oe", "--space", "L", "--scan", box, "--grid", "10", "--out", str(out)]) == 0
+
+    def reject(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    scan = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)["body"]["scan"]
+    assert scan["min_residual"] is None and scan["argmin"] is None
+    assert scan["grid"] == 10 and scan["box"] == [[0.9999, 1.0001], [0.9999, 1.0001]]
+
+
 def test_encode_writes_rationals_and_records():
     assert _encode(Fraction(-3, 2)) == "-3/2"
     assert _encode(Fraction(4)) == "4"

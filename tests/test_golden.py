@@ -1,0 +1,90 @@
+"""Committed report bodies of ``gram``, checked case by case.
+
+Each case in ``golden/cases.json`` names the points (a ``construct`` argv,
+or a literal list) and the ``gram`` argv; ``golden/<name>.json`` holds the
+expected body, with ``meta`` dropped.  Strings, integers, booleans, nulls
+and the shape of the body must match exactly; floats must match to
+``FLOAT_RTOL * max(1, |x|)``, because eigenvalues come from LAPACK and can
+move in the last bits across numpy and BLAS builds.
+
+Rewrite the expected bodies and print what changed with
+
+    PYTHONPATH=src python tests/test_golden.py --regenerate
+
+A change that regenerates them records the diff in CHANGES.md.
+"""
+
+import difflib
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from addspec.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+FLOAT_RTOL = 1e-12
+
+
+def run_case(case, workdir):
+    """Body of the case's ``gram`` report, run in process under ``workdir``."""
+    workdir = Path(workdir)
+    points = workdir / "points.json"
+    if "construct" in case:
+        argv = list(case["construct"])
+        if "measure" in case:
+            measure = workdir / "measure.json"
+            measure.write_text(json.dumps(case["measure"]), encoding="utf-8")
+            argv += ["--measure", str(measure)]
+        assert main(argv + ["--out", str(points)]) == 0
+    else:
+        points.write_text(json.dumps(case["points"]), encoding="utf-8")
+    out = workdir / "report.json"
+    assert main(case["argv"] + ["--points", str(points), "--out", str(out)]) == 0
+    return json.loads(out.read_text(encoding="utf-8"))["body"]
+
+
+def assert_same_body(got, want, path="body"):
+    if isinstance(want, float) or isinstance(got, float):
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), path
+        assert isinstance(want, (int, float)) and not isinstance(want, bool), path
+        assert math.isfinite(got) and math.isfinite(want), (path, got, want)
+        assert abs(got - want) <= FLOAT_RTOL * max(1.0, abs(want)), (path, got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), (path, got)
+        for key in want:
+            assert_same_body(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), (path, got)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_body(g, w, f"{path}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_gram_body_matches_golden(case, tmp_path):
+    want = json.loads((GOLDEN / f"{case['name']}.json").read_text(encoding="utf-8"))
+    assert_same_body(run_case(case, tmp_path), want)
+
+
+def regenerate():
+    """Rewrite every expected body and print a unified diff of the changes."""
+    for case in CASES:
+        path = GOLDEN / f"{case['name']}.json"
+        old = path.read_text(encoding="utf-8") if path.exists() else ""
+        with tempfile.TemporaryDirectory() as tmp:
+            new = json.dumps(run_case(case, tmp), sort_keys=True, indent=2) + "\n"
+        sys.stdout.writelines(difflib.unified_diff(
+            old.splitlines(True), new.splitlines(True), str(path), str(path)))
+        path.write_text(new, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        raise SystemExit(__doc__)
+    regenerate()

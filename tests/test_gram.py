@@ -37,7 +37,7 @@ from addspec.errors import MalformedInputError
 from addspec.gram import (
     ROW_BLOCK,
     GramMatrix,
-    _axis_kernel,
+    _half_rows,
     constant_pair,
     monomial_pair,
     random_piecewise_linear,
@@ -157,7 +157,7 @@ def test_numerators_past_int64_use_python_ints():
     ]
     pairs += [ExponentPair(pairs[0].a, 5), ExponentPair(7, pairs[1].b)]  # shared coordinates
     for s in (t_space(), symmetric_space(10**9)):
-        assert _axis_kernel(s.mu, [p.a for p in pairs])[0].dtype == object
+        assert _half_rows(s.mu, [p.a for p in pairs])[0].dtype == object
         assert_matches_reference(s, pairs)
 
 
@@ -168,7 +168,7 @@ def test_common_denominator_past_float_range():
     pairs = [ExponentPair(Fraction(j, p), Fraction(1 - j, p)) for j, p in enumerate(primes)]
     s = symmetric_space(Fraction(-1, 3))
     assert math.lcm(*primes).bit_length() > 1400
-    assert _axis_kernel(s.mu, [p.a for p in pairs])[0].dtype == object
+    assert _half_rows(s.mu, [p.a for p in pairs])[0].dtype == object
     assert_matches_reference(s, pairs)
 
 
@@ -179,10 +179,94 @@ def test_int64_edge_differences_do_not_wrap():
     below = [ExponentPair(big, 0), ExponentPair(-big, 1), ExponentPair(0, Fraction(1, 3))]
     above = below + [ExponentPair(big + 1, 0)]
     s = plus_space()
-    assert _axis_kernel(s.mu, [p.a for p in below])[0].dtype == np.int64
-    assert _axis_kernel(s.mu, [p.a for p in above])[0].dtype == object
+    assert _half_rows(s.mu, [p.a for p in below])[0].dtype == np.int64
+    assert _half_rows(s.mu, [p.a for p in above])[0].dtype == object
     for pairs in (below, above):
         assert_matches_reference(s, pairs)
+
+
+# ---------------------------------------------------------------------------
+# The kernel against 40-digit closed forms, and its two assembly paths.
+# ---------------------------------------------------------------------------
+
+SPLIT = IntervalUnionMeasure.from_pieces([("-2", "-1", "1/3"), ("1/2", "3", "2/3")])
+LATTICE = [ExponentPair(Fraction(i, 3), Fraction(j, 2)) for i in range(-4, 4) for j in range(-4, 4)]
+GAPPED = [ExponentPair(0, 0), ExponentPair(10**15, 1), ExponentPair(2, 10**15),
+          ExponentPair(Fraction(1, 3), -7), ExponentPair(5, Fraction(2, 5))]
+
+
+def _mpq(x):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def mp_transform(m, lam):
+    """ft(m, lam) from its closed form at the working precision; both phases
+    are reduced mod 2 in Fractions before mpmath sees them."""
+    if lam == 0:
+        return mpmath.mpc(1)
+    total = mpmath.mpc(0)
+    for l, r, w in m.pieces:
+        z = lam * (r - l)
+        sinc = mpmath.sinpi(_mpq(z % 2)) / (mpmath.pi * _mpq(z))
+        total += _mpq(w) * mpmath.expjpi(_mpq(lam * (l + r) % 2)) * sinc
+    return total
+
+
+def assert_near_mpmath(s, pairs, tol=4.4e-16):
+    g = assemble(s, pairs).entries
+    halves = {}
+
+    def half(m, lam):
+        if (m, lam) not in halves:
+            halves[m, lam] = mp_transform(m, lam) / 2
+        return halves[m, lam]
+
+    with mpmath.workdps(40):
+        worst = max(
+            abs(half(s.mu, p.a - q.a) + half(s.nu, p.b - q.b) - mpmath.mpc(g[i, j]))
+            for i, p in enumerate(pairs) for j, q in enumerate(pairs)
+        )
+    assert float(worst) <= tol
+
+
+@pytest.mark.parametrize("k", [1, 10**3, 10**6, 10**9, 10**15])
+def test_mirror_sections_match_mpmath(k):
+    assert_near_mpmath(space_from_name(f"Symmetric:t={k}"), mirror_spectrum(k, 32).points)
+
+
+def test_large_denominators_match_mpmath():
+    primes = (998244353, 1000000007, 1000000009)
+    pairs = [
+        ExponentPair(Fraction(j, primes[j % 3]), Fraction(-2 * j + 1, primes[(j + 1) % 3]))
+        for j in range(-6, 7)
+    ]
+    for s in (t_space(), symmetric_space(10**9), AdditiveSpace(SPLIT, t_space().nu)):
+        assert_near_mpmath(s, pairs)
+
+
+@pytest.mark.parametrize("pairs", [LATTICE, GAPPED], ids=["lattice", "gapped"])
+def test_table_and_direct_paths_match_mpmath(pairs):
+    for s in (l_space(), symmetric_space(10**15), AdditiveSpace(SPLIT, t_space().nu)):
+        assert_near_mpmath(s, pairs)
+
+
+def _spans(s, pairs):
+    grids = (_half_rows(s.mu, [p.a for p in pairs])[0], _half_rows(s.nu, [p.b for p in pairs])[0])
+    return [int(g.max() - g.min()) for g in grids]
+
+
+@pytest.mark.parametrize("far", [(10**15, 10**15 + 1), (Fraction(10**15, 7), -(10**15))])
+def test_direct_path_agrees_with_table_path(far):
+    # the lattice alone is gathered from span tables; one far point sends both
+    # axes through the direct kernel, and its leading block must not move
+    s = AdditiveSpace(SPLIT, symmetric_space(Fraction(-1, 3)).nu)
+    n = len(LATTICE)
+    wide = LATTICE + [ExponentPair(*far)]
+    assert all(2 * span + 1 <= n * n / 4 for span in _spans(s, LATTICE))
+    assert all(2 * span + 1 > (n + 1) ** 2 / 4 for span in _spans(s, wide))
+    table = assemble(s, LATTICE).entries
+    direct = assemble(s, wide).entries[:n, :n]
+    assert np.max(np.abs(direct - table)) <= 2.3e-16
 
 
 @pytest.mark.parametrize("n", [5, ROW_BLOCK + 3, 2 * ROW_BLOCK + 1])
