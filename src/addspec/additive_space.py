@@ -6,8 +6,9 @@ has projections e_a and e_b, so
     <e_{a,b}, e_{u,v}>_rho = ft(mu, a-u)/2 + ft(nu, b-v)/2,
 
 which makes every Gram entry a two-term closed form: ``exp_inner`` takes one
-entry and ``gram.assemble`` a whole section, both from the difference kernel
-``measures.transform_at``.  General functions are supported only as
+entry from the difference kernel ``measures.transform_at``, and
+``gram.assemble`` a whole section from it or from the same exact phase
+reductions per point.  General functions are supported only as
 piecewise polynomials, integrated in closed form: on each overlap of a
 measure piece and a function piece, the moments of t^k e^{i omega t} on
 [-1, 1] for all frequencies at once, with the phases reduced exactly by
@@ -277,6 +278,10 @@ def measure_integral(
     import numpy as np
 
     freqs = np.asarray(freq)
+    if freqs.dtype.kind == "f" and not isinstance(freq, np.ndarray):
+        # numpy rounds a list mixing negatives and ints past 2^63 to float64;
+        # an object array keeps every entry as given
+        freqs = np.array(freq, dtype=object)
     values = freqs.ravel().tolist()
     if all(type(v) is int for v in values):
         nums, D = values, denominator

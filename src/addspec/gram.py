@@ -35,7 +35,8 @@ from .additive_space import (
 from . import additive_space
 from .errors import MalformedInputError
 from .exponents import ExponentSet, ZigzagPath, find_zigzag_loop
-from .measures import INT64_SAFE, IntervalUnionMeasure, as_fraction, transform_at
+from .measures import INT64_SAFE, IntervalUnionMeasure, as_fraction, residues, sinc
+from .measures import transform_at, unit_phase
 
 MATRIX_CAP = 4096
 
@@ -61,13 +62,15 @@ ROW_BLOCK = 32
 
 
 def _half_rows(m: IntervalUnionMeasure, coords: Sequence[Fraction]):
-    """One axis: its grid, and ``rows(rows, out)`` writing ft(m, c_i - c_j)/2 rows.
+    """One axis: its grid, ``rows(rows, cols, out)`` writing ft(m, c_i - c_j)/2,
+    and whether the rows come from a table (and so are exactly Hermitian).
 
-    The grid holds integer numerators over the common denominator: int64, or
-    Python ints once a numerator or D reaches 2^62, so differences never
-    wrap.  If the span is small next to n^2, rows are gathered from
-    ``transform_at`` on every difference in the span, extended by
-    ft(-d) = conj ft(d); otherwise (a huge gap, say) each row block runs it.
+    The grid holds the numerators over the common denominator D, as Python
+    ints once one or D reaches 2^62.  A span small next to n^2 gets a table of
+    ``transform_at`` over it, extended by ft(-d) = conj ft(d).  Otherwise (a
+    huge gap, say) piece (l, r, w) gives  w u_i conj(u_j) sinc((c_i - c_j)(r - l))
+    with the phases u_i and the sine's residues reduced once per point; a
+    pair's sine turn is the difference of two residues, so needs no Python int.
     """
     import numpy as np
 
@@ -78,31 +81,65 @@ def _half_rows(m: IntervalUnionMeasure, coords: Sequence[Fraction]):
     grid = np.array(nums, dtype=np.int64 if max(top, D) < INT64_SAFE else object)
     low = grid.min()
     span = int(grid.max() - low)
-    table = None
     if 2 * span + 1 <= len(grid) ** 2 / 4:
         half = 0.5 * transform_at(m, np.arange(span + 1), D)
         table = np.concatenate((half[:0:-1].conj(), half))
         at = np.asarray(grid - low, dtype=np.int64)
+        return grid, lambda sl, cols, out: np.take(
+            table, at[sl, None] - (at[cols] - span), out=out, mode="clip"
+        ), True
+    pieces = []
+    for l, r, w in m.pieces:
+        h = (r - l) / (2 * D)
+        u = unit_phase(grid, (l + r) / (2 * D))
+        pieces.append((0.5 * float(w), u, residues(grid, h), h.denominator, float(r - l)))
 
-    def rows(sl, out):
-        if table is not None:
-            return np.take(table, at[sl, None] - (at - span), out=out, mode="clip")
-        diff = grid[sl, None] - grid
-        np.multiply(transform_at(m, np.abs(diff), D), 0.5, out=out)
-        return np.conjugate(out, out=out, where=diff < 0)
+    def rows(sl, cols, out):
+        # true division rounds correctly for Python ints of any size
+        x = np.asarray((grid[sl, None] - grid[cols]) / D, dtype=float)
+        out[...] = 0
+        for half_w, u, k, q, width in pieces:
+            term = np.multiply.outer(u[sl], half_w * u[cols].conj())
+            term *= sinc(x * width, (k[sl, None] - k[cols]) % q, q)
+            out += term
+        out[x == 0] = 0.5
+        return out
 
-    return grid, rows
+    return grid, rows, False
+
+
+def _row_blocks(s: AdditiveSpace, pairs: Sequence[ExponentPair], g=None):
+    """Yield (rows, block, upper), ROW_BLOCK Gram rows at a time, in place in g
+    if given: whole rows, or (upper) from the diagonal on when an axis has
+    no table, for the caller to mirror.  Without g, whole rows in a buffer."""
+    import numpy as np
+
+    n = len(pairs)
+    grid_x, x_rows, x_table = _half_rows(s.mu, [p.a for p in pairs])
+    grid_y, y_rows, y_table = _half_rows(s.nu, [p.b for p in pairs])
+    if len(set(zip(grid_x.tolist(), grid_y.tolist()))) != n:
+        raise MalformedInputError("duplicate pairs in Gram assembly")
+    upper = g is not None and not (x_table and y_table)
+    buf = np.empty((2, ROW_BLOCK * n), dtype=complex)
+    for start in range(0, n, ROW_BLOCK):
+        rows = slice(start, min(start + ROW_BLOCK, n))
+        cols = slice(start if upper else 0, n)
+        shape = (rows.stop - start, n - cols.start)
+        x_out, y_out = buf[:, : shape[0] * shape[1]].reshape((2,) + shape)
+        block = x_rows(rows, cols, x_out if g is None else g[rows, cols])
+        block += y_rows(rows, cols, y_out)
+        yield rows, block, upper
 
 
 def assemble(s: AdditiveSpace, pairs: Sequence[ExponentPair]) -> GramMatrix:
     """Gram matrix  ft(mu, a_p - a_q)/2 + ft(nu, b_p - b_q)/2  of a pair list.
 
-    Each axis evaluates ``measures.transform_at`` at exact coordinate
-    differences (``_half_rows``), ROW_BLOCK rows at a time.  ft(m, 0) is
-    exactly 1, so the diagonal is exactly 1, and the entry at differences
-    (-d, -e) is the conjugate of the one at (d, e), so the matrix is exactly
-    Hermitian; entries are a few ulps from exact however far the points or
-    supports sit from 0.  Duplicates are found on the exact integer grids.
+    Each axis takes the transform at exact coordinate differences
+    (``_half_rows``).  Rows gathered from tables are exactly Hermitian as
+    they stand; otherwise the upper triangle is mirrored by conjugation.  An axis on which two points agree adds
+    exactly ft(m, 0)/2 = 1/2, so the diagonal is exactly 1.  Entries are a
+    few ulps from exact however far the points or supports sit from 0.
+    Duplicates are found on the exact integer grids.
     """
     import numpy as np
 
@@ -112,27 +149,25 @@ def assemble(s: AdditiveSpace, pairs: Sequence[ExponentPair]) -> GramMatrix:
         raise MalformedInputError("empty pair list")
     if n > MATRIX_CAP:
         raise MalformedInputError(f"section size {n} exceeds cap {MATRIX_CAP}")
-    grid_x, x_rows = _half_rows(s.mu, [p.a for p in pairs])
-    grid_y, y_rows = _half_rows(s.nu, [p.b for p in pairs])
-    if len(set(zip(grid_x.tolist(), grid_y.tolist()))) != n:
-        raise MalformedInputError("duplicate pairs in Gram assembly")
     g = np.empty((n, n), dtype=complex)
-    buf = np.empty((ROW_BLOCK, n), dtype=complex)
-    for start in range(0, n, ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        block = x_rows(rows, g[rows])
-        block += y_rows(rows, buf[: len(block)])
+    for rows, block, upper in _row_blocks(s, pairs, g):
+        if upper:
+            start, stop = rows.start, rows.stop
+            g[stop:, rows] = block[:, stop - start :].conj().T
+            square = g[rows, rows]
+            square[...] = np.triu(square) + np.triu(square, 1).conj().T
     g.flags.writeable = False
     return GramMatrix(pairs, g)
 
 
 def combination_norm_sq(s: AdditiveSpace, c: FiniteCombination) -> float:
-    """Squared norm  sum of c_p conj(c_q) <e_p, e_q>  on the assembled Gram matrix."""
+    """Squared norm  sum of c_p conj(c_q) <e_p, e_q>, over the Gram matrix
+    ROW_BLOCK rows at a time: no n x n matrix, so no MATRIX_CAP either."""
     import numpy as np
 
-    g = assemble(s, [p for p, _ in c.terms]).entries
     v = np.array([coeff for _, coeff in c.terms])
-    return float((v @ (g @ v.conj())).real)
+    blocks = _row_blocks(s, [p for p, _ in c.terms])
+    return float(sum(v[rows] @ (block @ v.conj()) for rows, block, _ in blocks).real)
 
 
 def identity_deviation(g: GramMatrix) -> float:

@@ -9,8 +9,9 @@ the closed form
 
 with S(z) = sin(z)/z.  ``transform_at`` evaluates it at frequencies d/D, for
 integers d over a common denominator D, with every phase reduced mod 1 in
-integer arithmetic before it is rounded, so each value is a few ulps from
-exact however far the frequency or the support sits from 0.
+integer arithmetic (``residues``) and centred before it is rounded
+(``turns``), so each value is a few ulps from exact however far the
+frequency or the support sits from 0.
 """
 
 from __future__ import annotations
@@ -114,46 +115,67 @@ class IntervalUnionMeasure:
 INT64_SAFE = 2**62  # int64 holds every product of the phase reductions below it
 
 
-def unit_phase(nums, h: Fraction):
-    """exp(2 pi i x h) at each integer x of ``nums``, with h = p/q.
+def residues(nums, h: Fraction):
+    """x p mod q, exactly, for each integer x of ``nums`` (h = p/q).
 
-    x p mod q is reduced exactly (p mod q first), in int64 while |x| q < 2^62
-    and in Python ints past that, then divided by q, rounded and centred in
-    [-1/2, 1/2).  With fewer residues q than entries, each is evaluated once.
+    Products are int64 while |x| q < 2^62 (p is reduced mod q first), else
+    Python ints, as are the entries of a list; residues are int64 if q < 2^62.
     """
     import numpy as np
 
     q = h.denominator
-    x = np.asarray(nums)
-    if x.dtype == object or int(np.abs(x).max(initial=1)) * q >= INT64_SAFE:
+    x = nums if isinstance(nums, np.ndarray) else np.array(nums, dtype=object)
+    if x.dtype == object or int(np.abs(x).max(initial=0)) * q >= INT64_SAFE:
         x = x.astype(object)
     k = x * (h.numerator % q) % q
-    table = q < k.size
+    return k if q >= INT64_SAFE else k.astype(np.int64, copy=False)
+
+
+def turns(k, q: int):
+    """Residues 0 <= k < q as k/q mod 1 in [-1/2, 1/2), centred before they
+    are rounded (correctly, past 2^53 too), so small turns keep their digits."""
+    import numpy as np
+
+    k = np.asarray(k)
+    k = np.where(2 * k >= q, k - q, k)
     # true division rounds correctly for Python ints of any size
-    t = np.asarray((np.arange(q) if table else k) / q, dtype=float)
-    t[t >= 0.5] -= 1
-    phase = np.exp(2j * np.pi * t)
-    return phase[k.astype(np.intp)] if table else phase
+    return np.asarray((k if q <= 2**53 else k.astype(object)) / q, dtype=float)
 
 
-def transform_at(m: IntervalUnionMeasure, diffs, D: int):
-    """ft(m, d / D) at each non-negative integer d of ``diffs``; exactly 1 at d = 0.
+def unit_phase(nums, h: Fraction):
+    """exp(2 pi i x h) at each integer x of ``nums``, its turn reduced exactly."""
+    import numpy as np
+
+    return np.exp(2j * np.pi * turns(residues(nums, h), h.denominator))
+
+
+def sinc(x, k, q: int):
+    """sin(pi x)/(pi x), the sine taken at the exact turn k/q of x/2 mod 1;
+    exactly 1 below |pi x| = 1e-8, where pi x may also be subnormal."""
+    import numpy as np
+
+    z = np.pi * x
+    sine = np.sin(2 * np.pi * turns(k, q))
+    return np.divide(sine, z, out=np.ones_like(z), where=np.abs(z) >= 1e-8)
+
+
+def transform_at(m: IntervalUnionMeasure, d, D: int):
+    """ft(m, d / D) at each integer of ``d``; exactly 1 where d / D rounds to 0.
 
     Piece (l, r, w) contributes  w exp(2 pi i d (l + r) / (2D)) sin(z) / z,
-    z = pi d (r - l) / D, with both phases reduced by ``unit_phase``.
+    z = pi d (r - l) / D, with both turns reduced by ``residues``.
     """
     import numpy as np
 
-    d = np.asarray(diffs, dtype=object if D >= INT64_SAFE else None)
-    lam_pi = np.pi * np.asarray(d / D, dtype=float)
+    d = d if isinstance(d, np.ndarray) and D < INT64_SAFE else np.array(d, dtype=object)
+    # true division rounds correctly for Python ints of any size
+    lam = np.asarray(d / D, dtype=float)
     out = np.zeros(d.shape, dtype=complex)
     for l, r, w in m.pieces:
-        sine = unit_phase(d, (r - l) / (2 * D)).imag
-        z = lam_pi * float(r - l)
-        # sin(z)/z rounds to 1 below |z| = 1e-8, where z may also be subnormal
-        sinc = np.divide(sine, z, out=np.ones_like(z), where=np.abs(z) >= 1e-8)
-        out += unit_phase(d, (l + r) / (2 * D)) * (float(w) * sinc)
-    out[d == 0] = 1
+        h = (r - l) / (2 * D)
+        shape = sinc(lam * float(r - l), residues(d, h), h.denominator)
+        out += unit_phase(d, (l + r) / (2 * D)) * (float(w) * shape)
+    out[lam == 0] = 1
     return out
 
 

@@ -265,6 +265,21 @@ def test_measure_integral_takes_exact_frequencies(mp_integral):
         measure_integral(m, fn, [1.0, float("nan")])
 
 
+def test_measure_integral_mixed_sign_numerators_past_int64(mp_integral):
+    # numpy alone would turn the first list into float64, which rounds
+    # 10**19 + 1 and flips the sign of its phase; relative errors show it,
+    # since the integral is about 1e-19 at these frequencies
+    m = IntervalUnionMeasure.from_pieces([("1/3", "4/3", "1/2"), ("2", "7/2", "1/2")])
+    fn = PiecewisePolynomial(((Fraction(1, 2), Fraction(3), (1.0, -0.5j, 0.25)),))
+    lines = ([-1, 10**19 + 1, 2**63, 0], [-(10**19 + 1), 2**63 + 3, -(2**64) - 7])
+    for freqs in lines:
+        got = measure_integral(m, fn, freqs, denominator=3)
+        for f, value in zip(freqs, got):
+            with mpmath.workdps(40):
+                want = complex(mp_integral(m, fn, Fraction(f, 3)))
+            assert abs(value - want) <= 1e-14 * abs(want), (f, value, want)
+
+
 def test_measure_norm_sq_exact(unit_measure):
     # int_0^1 x^2 dx = 1/3
     f = PiecewisePolynomial.monomial(support_intervals(unit_measure), 1)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from addspec import (
     ExponentPair,
     ExponentSet,
+    FiniteCombination,
     PiecewisePolynomial,
     alternating_zigzag_norm,
     assemble,
@@ -32,6 +33,7 @@ from addspec import (
     symmetric_space,
     t_space,
 )
+from addspec import gram
 from addspec.additive_space import AdditiveSpace, _leggauss, support_intervals
 from addspec.errors import MalformedInputError
 from addspec.gram import (
@@ -275,9 +277,24 @@ def test_assembled_matrix_is_exactly_hermitian(n):
     pool = [(Fraction(int(x), 7), Fraction(int(y), 5)) for x, y in rng.integers(-40, 40, (3 * n, 2))]
     pairs = [ExponentPair(a, b) for a, b in dict.fromkeys(pool)][:n]
     split = IntervalUnionMeasure.from_pieces([("-2", "-1", "1/3"), ("1/2", "3", "2/3")])
-    g = assemble(AdditiveSpace(split, symmetric_space(Fraction(-1, 3)).nu), pairs).entries
-    assert np.all(np.diag(g) == 1.0)
-    assert np.array_equal(g, g.conj().T)
+    s = AdditiveSpace(split, symmetric_space(Fraction(-1, 3)).nu)
+    # a far point sends the y axis, and then both, through the per-block path
+    for extra in ([], [ExponentPair(0, 10**12)], [ExponentPair(10**12, 10**12)]):
+        g = assemble(s, pairs + extra).entries
+        assert np.all(np.diag(g) == 1.0)
+        assert np.array_equal(g, g.conj().T)
+
+
+def test_combination_norm_sq_has_no_section_cap(monkeypatch):
+    # taken block by block, the quadratic form needs no n x n matrix
+    monkeypatch.setattr(gram, "MATRIX_CAP", 8)
+    rng = np.random.default_rng(3)
+    pairs = LATTICE[:40] + [ExponentPair(10**12, Fraction(1, 7))]
+    c = FiniteCombination(tuple((p, complex(*rng.normal(size=2))) for p in pairs))
+    with pytest.raises(MalformedInputError):
+        assemble(l_space(), pairs)
+    want = sum(cp * cq.conjugate() * exp_inner(l_space(), p, q) for p, cp in c.terms for q, cq in c.terms)
+    assert combination_norm_sq(l_space(), c) == pytest.approx(want.real, rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [1, 5, ROW_BLOCK, ROW_BLOCK + 3, 2 * ROW_BLOCK + 1])
