@@ -1,11 +1,12 @@
-"""Committed report bodies of ``gram``, checked case by case.
+"""Committed report bodies of the CLI, checked case by case.
 
 Each case in ``golden/cases.json`` names the points (a ``construct`` argv,
-or a literal list) and the ``gram`` argv; ``golden/<name>.json`` holds the
-expected body, with ``meta`` dropped.  Strings, integers, booleans, nulls
-and the shape of the body must match exactly; floats must match to
-``FLOAT_RTOL * max(1, |x|)``, because eigenvalues come from LAPACK and can
-move in the last bits across numpy and BLAS builds.
+or a literal list), the argv of the command that reads them and, for an
+error object, its ``exit_code``; ``golden/<name>.json`` holds the expected
+body, with ``meta`` dropped, or the whole error object.  Strings, integers,
+booleans, nulls and the shape of the body must match exactly; floats must
+match to ``FLOAT_RTOL * max(1, |x|)``, because eigenvalues come from LAPACK
+and can move in the last bits across numpy and BLAS builds.
 
 Rewrite the expected bodies and print what changed with
 
@@ -31,7 +32,9 @@ FLOAT_RTOL = 1e-12
 
 
 def run_case(case, workdir):
-    """Body of the case's ``gram`` report, run in process under ``workdir``."""
+    """Body of the case's report, or its error object, run in process under
+    ``workdir``; the command must exit with the case's ``exit_code`` (0 if
+    it names none)."""
     workdir = Path(workdir)
     points = workdir / "points.json"
     if "construct" in case:
@@ -44,8 +47,10 @@ def run_case(case, workdir):
     else:
         points.write_text(json.dumps(case["points"]), encoding="utf-8")
     out = workdir / "report.json"
-    assert main(case["argv"] + ["--points", str(points), "--out", str(out)]) == 0
-    return json.loads(out.read_text(encoding="utf-8"))["body"]
+    code = main(case["argv"] + ["--points", str(points), "--out", str(out)])
+    assert code == case.get("exit_code", 0)
+    report = json.loads(out.read_text(encoding="utf-8"))
+    return report if code else report["body"]
 
 
 def assert_same_body(got, want, path="body"):
@@ -66,10 +71,24 @@ def assert_same_body(got, want, path="body"):
         assert type(got) is type(want) and got == want, (path, got, want)
 
 
-@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
-def test_gram_body_matches_golden(case, tmp_path):
+def check_case(case, workdir):
     want = json.loads((GOLDEN / f"{case['name']}.json").read_text(encoding="utf-8"))
-    assert_same_body(run_case(case, tmp_path), want)
+    assert_same_body(run_case(case, workdir), want)
+
+
+GRAM = [c for c in CASES if c["argv"][0] == "gram" and "exit_code" not in c]
+OTHER = [c for c in CASES if c not in GRAM]
+
+
+@pytest.mark.parametrize("case", GRAM, ids=[c["name"] for c in GRAM])
+def test_gram_body_matches_golden(case, tmp_path):
+    check_case(case, tmp_path)
+
+
+@pytest.mark.parametrize("case", OTHER, ids=[c["name"] for c in OTHER])
+def test_report_matches_golden(case, tmp_path):
+    """Other subcommands' bodies, and error objects with their exit codes."""
+    check_case(case, tmp_path)
 
 
 def regenerate():
