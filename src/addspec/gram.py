@@ -9,6 +9,15 @@ checked by hand; only a loop-free degenerate section takes its combination
 from a dense eigenvector.  A positive, stabilizing floor across nested
 sections is evidence only, and the verdict labels say so.
 
+The eigen step runs on a real symmetric matrix when the section allows it.
+Every preset component is one interval, symmetric about its centre c, so
+ft(m, lam) is e^{2 pi i lam c} times a real number; when 2 (b c_y - a c_x)
+mod 1 is the same for every point (a, b), as on integer lattices, lev sets,
+the L ONB and mirror spectra, the phases u = e^{2 pi i a c_x} make
+conj(u_p) G_pq u_q real, with exactly the eigenvalues of G.  The test is
+exact, on the integer grids of the assembly; other sections, such as a
+doubled non-overlap spectrum, keep the complex Hermitian eigen step.
+
 numpy is imported inside the functions that compute with it, so importing
 this module loads none.
 """
@@ -45,25 +54,56 @@ STABILITY_FLOOR = 1e-6
 STABILITY_RTOL = 0.1
 
 
+# Gram rows filled per block, so the kernel's temporaries stay ROW_BLOCK x n
+ROW_BLOCK = 32
+
+
 @dataclass(frozen=True)
 class GramMatrix:
-    """Hermitian matrix of exponential inner products for an ordered pair list."""
+    """Hermitian matrix of exponential inner products for an ordered pair list.
+
+    ``phases`` is a unit vector u, set by ``assemble`` when the exact test of
+    ``_aligned_phases`` shows that  conj(u_p) G_pq u_q  is real: a diagonal
+    unitary similarity, so that real symmetric matrix has the eigenvalues of G.
+    """
 
     pairs: Tuple[ExponentPair, ...]
     entries: np.ndarray
+    phases: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:
         return len(self.pairs)
 
+    def eigen_matrix(self) -> np.ndarray:
+        """The matrix the eigen step factorizes: ``entries``, or with phases
+        the real symmetric  Re(conj(u_p) u_q G_pq).  That is built ROW_BLOCK
+        rows at a time, its lower triangle mirrored above, so it is exactly
+        symmetric; its leading n x n block is the real form of the leading
+        n x n section.  An eigenvector v of it is u * v for ``entries``."""
+        import numpy as np
 
-# Gram rows filled per block, so the kernel's temporaries stay ROW_BLOCK x n
-ROW_BLOCK = 32
+        u = self.phases
+        if u is None:
+            return self.entries
+        n = self.size
+        out = np.empty((n, n))
+        for start in range(0, n, ROW_BLOCK):
+            stop = min(start + ROW_BLOCK, n)
+            rows = slice(start, stop)
+            block = np.multiply.outer(u[rows].conj(), u[:stop])
+            block *= self.entries[rows, :stop]
+            out[rows, :stop] = block.real
+            out[:start, rows] = out[rows, :start].T
+            square = out[rows, rows]
+            square[...] = np.tril(square) + np.tril(square, -1).T
+        return out
 
 
 def _half_rows(m: IntervalUnionMeasure, coords: Sequence[Fraction]):
-    """One axis: its grid, ``rows(rows, cols, out)`` writing ft(m, c_i - c_j)/2,
-    and whether the rows come from a table (and so are exactly Hermitian).
+    """One axis: its grid and denominator D, ``rows(rows, cols, out)``
+    writing ft(m, c_i - c_j)/2, and whether the rows come from a table (and
+    so are exactly Hermitian).
 
     The grid holds the numerators over the common denominator D, as Python
     ints once one or D reaches 2^62.  A span small next to n^2 gets a table of
@@ -85,7 +125,7 @@ def _half_rows(m: IntervalUnionMeasure, coords: Sequence[Fraction]):
         half = 0.5 * transform_at(m, np.arange(span + 1), D)
         table = np.concatenate((half[:0:-1].conj(), half))
         at = np.asarray(grid - low, dtype=np.int64)
-        return grid, lambda sl, cols, out: np.take(
+        return grid, D, lambda sl, cols, out: np.take(
             table, at[sl, None] - (at[cols] - span), out=out, mode="clip"
         ), True
     pieces = []
@@ -105,20 +145,26 @@ def _half_rows(m: IntervalUnionMeasure, coords: Sequence[Fraction]):
         out[x == 0] = 0.5
         return out
 
-    return grid, rows, False
+    return grid, D, rows, False
 
 
-def _row_blocks(s: AdditiveSpace, pairs: Sequence[ExponentPair], g=None):
+def _axes(s: AdditiveSpace, pairs: Sequence[ExponentPair]):
+    """``_half_rows`` of both axes; duplicates are found on the exact grids."""
+    x = _half_rows(s.mu, [p.a for p in pairs])
+    y = _half_rows(s.nu, [p.b for p in pairs])
+    if len(set(zip(x[0].tolist(), y[0].tolist()))) != len(pairs):
+        raise MalformedInputError("duplicate pairs in Gram assembly")
+    return x, y
+
+
+def _row_blocks(x, y, g=None):
     """Yield (rows, block, upper), ROW_BLOCK Gram rows at a time, in place in g
     if given: whole rows, or (upper) from the diagonal on when an axis has
     no table, for the caller to mirror.  Without g, whole rows in a buffer."""
     import numpy as np
 
-    n = len(pairs)
-    grid_x, x_rows, x_table = _half_rows(s.mu, [p.a for p in pairs])
-    grid_y, y_rows, y_table = _half_rows(s.nu, [p.b for p in pairs])
-    if len(set(zip(grid_x.tolist(), grid_y.tolist()))) != n:
-        raise MalformedInputError("duplicate pairs in Gram assembly")
+    (grid, _, x_rows, x_table), (_, _, y_rows, y_table) = x, y
+    n = len(grid)
     upper = g is not None and not (x_table and y_table)
     buf = np.empty((2, ROW_BLOCK * n), dtype=complex)
     for start in range(0, n, ROW_BLOCK):
@@ -131,6 +177,41 @@ def _row_blocks(s: AdditiveSpace, pairs: Sequence[ExponentPair], g=None):
         yield rows, block, upper
 
 
+def _centre(m: IntervalUnionMeasure) -> Optional[Fraction]:
+    """The centre c of a measure symmetric about it (pieces mirrored about c
+    with equal weights), else None; then ft(m, lam) is e^{2 pi i lam c}
+    times a real number."""
+    c2 = m.pieces[0][0] + m.pieces[-1][1]
+    mirrored = tuple((c2 - r, c2 - l, w) for l, r, w in reversed(m.pieces))
+    return c2 / 2 if mirrored == m.pieces else None
+
+
+def _aligned_phases(s: AdditiveSpace, x, y):
+    """u_p = e^{2 pi i a_p c_x} if  conj(u_p) G_pq u_q  is real, else None.
+
+    With both measures symmetric about their centres, that entry is
+    ft_x/2 + e^{2 pi i (phi_p - phi_q)} ft_y/2 with real ft's and
+    phi_p = b_p c_y - a_p c_x, so it is real for every pair exactly when
+    2 phi_p mod 1 is the same for every point.  That is decided in integers
+    on the axes' exact grids: 2 a_p c_x mod 1 is the residue of the
+    numerator times 2 c_x / D_x.  A doubled non-overlap spectrum fails it.
+    """
+    import numpy as np
+
+    (grid_x, D_x, _, _), (grid_y, D_y, _, _) = x, y
+    c_x, c_y = _centre(s.mu), _centre(s.nu)
+    if c_x is None or c_y is None:
+        return None
+    h_x, h_y = 2 * c_x / D_x, 2 * c_y / D_y
+    k_x, k_y = residues(grid_x, h_x), residues(grid_y, h_y)
+    q_x, q_y = h_x.denominator, h_y.denominator
+    L = math.lcm(q_x, q_y)
+    if L >= INT64_SAFE:
+        k_x, k_y = k_x.astype(object), k_y.astype(object)
+    phi = (k_y * (L // q_y) - k_x * (L // q_x)) % L
+    return None if np.any(phi != phi[0]) else unit_phase(grid_x, c_x / D_x)
+
+
 def assemble(s: AdditiveSpace, pairs: Sequence[ExponentPair]) -> GramMatrix:
     """Gram matrix  ft(mu, a_p - a_q)/2 + ft(nu, b_p - b_q)/2  of a pair list.
 
@@ -139,7 +220,8 @@ def assemble(s: AdditiveSpace, pairs: Sequence[ExponentPair]) -> GramMatrix:
     they stand; otherwise the upper triangle is mirrored by conjugation.  An axis on which two points agree adds
     exactly ft(m, 0)/2 = 1/2, so the diagonal is exactly 1.  Entries are a
     few ulps from exact however far the points or supports sit from 0.
-    Duplicates are found on the exact integer grids.
+    Duplicates are found on the exact integer grids, and so is the phase
+    alignment that sets ``phases`` (``_aligned_phases``).
     """
     import numpy as np
 
@@ -149,15 +231,16 @@ def assemble(s: AdditiveSpace, pairs: Sequence[ExponentPair]) -> GramMatrix:
         raise MalformedInputError("empty pair list")
     if n > MATRIX_CAP:
         raise MalformedInputError(f"section size {n} exceeds cap {MATRIX_CAP}")
+    x, y = _axes(s, pairs)
     g = np.empty((n, n), dtype=complex)
-    for rows, block, upper in _row_blocks(s, pairs, g):
+    for rows, block, upper in _row_blocks(x, y, g):
         if upper:
             start, stop = rows.start, rows.stop
             g[stop:, rows] = block[:, stop - start :].conj().T
             square = g[rows, rows]
             square[...] = np.triu(square) + np.triu(square, 1).conj().T
     g.flags.writeable = False
-    return GramMatrix(pairs, g)
+    return GramMatrix(pairs, g, _aligned_phases(s, x, y))
 
 
 def combination_norm_sq(s: AdditiveSpace, c: FiniteCombination) -> float:
@@ -166,7 +249,7 @@ def combination_norm_sq(s: AdditiveSpace, c: FiniteCombination) -> float:
     import numpy as np
 
     v = np.array([coeff for _, coeff in c.terms])
-    blocks = _row_blocks(s, [p for p, _ in c.terms])
+    blocks = _row_blocks(*_axes(s, [p for p, _ in c.terms]))
     return float(sum(v[rows] @ (block @ v.conj()) for rows, block, _ in blocks).real)
 
 
@@ -187,12 +270,13 @@ def identity_deviation(g: GramMatrix) -> float:
 
 
 def extremal_eigenvalues(g: GramMatrix) -> Tuple[float, float]:
-    """Smallest and largest eigenvalue of the Hermitian section."""
+    """Smallest and largest eigenvalue of the Hermitian section, taken
+    from its ``eigen_matrix``."""
     import numpy as np
 
     if g.size == 0:
         raise MalformedInputError("empty Gram matrix")
-    w = np.linalg.eigvalsh(g.entries)
+    w = np.linalg.eigvalsh(g.eigen_matrix())
     return float(w[0]), float(w[-1])
 
 
@@ -203,7 +287,8 @@ class SectionCertificate:
     degenerate       -- some section has a (numerically) zero eigenvalue; the
                         null combination attached is a disproof: the exact
                         loop alternation when the first such section has a
-                        zigzag loop, its unit eigenvector otherwise.
+                        zigzag loop, otherwise the conjugate of the unit
+                        eigenvector, whose squared norm is that eigenvalue.
     riesz-consistent -- the smallest eigenvalue stabilized above a positive
                         floor; necessary-condition evidence, not a proof.
     indeterminate    -- still drifting at the largest section.
@@ -249,7 +334,12 @@ def riesz_section_certificate(
     union-find search of ``find_zigzag_loop``), the combination is the
     loop's exact alternation and no eigenvector is computed; a loop-free
     degenerate prefix, such as a near-duplicate pair of points, takes the
-    unit eigenvector of its smallest eigenvalue from ``np.linalg.eigh``.
+    conjugate of the unit eigenvector of its smallest eigenvalue from
+    ``np.linalg.eigh``: the coefficients c with  ||sum c_p e_p||^2 = lambda.
+
+    Every eigenvalue and eigenvector comes from the assembled matrix's
+    ``eigen_matrix``: the real symmetric form of a phase-aligned section,
+    whose eigenvector v is ``phases * v`` for G, or the Hermitian entries.
     """
     import numpy as np
 
@@ -260,11 +350,12 @@ def riesz_section_certificate(
     if list(sizes) != sorted(sizes):
         raise MalformedInputError("section sizes must be ascending")
     full = assemble(s, pairs[: sizes[-1]])
+    e = full.eigen_matrix()
     mins: List[float] = []
     maxs: List[float] = []
     null_comb = None
     for n in sizes:
-        w = np.linalg.eigvalsh(full.entries[:n, :n])
+        w = np.linalg.eigvalsh(e[:n, :n])
         mins.append(float(w[0]))
         maxs.append(float(w[-1]))
         if null_comb is None and w[0] < DEGENERATE_TOL:
@@ -272,10 +363,13 @@ def riesz_section_certificate(
             if loop is not None:
                 null_comb = loop_alternation(loop)
             else:
-                _, vecs = np.linalg.eigh(full.entries[:n, :n])
-                v = vecs[:, 0]
+                _, vecs = np.linalg.eigh(e[:n, :n])
+                # the squared norm of sum c_p e_p is c^T G conj(c), so the
+                # coefficients are the conjugate of G's eigenvector u * v
+                u = full.phases
+                c = vecs[:, 0].conj() if u is None else u[:n].conj() * vecs[:, 0]
                 null_comb = FiniteCombination(
-                    tuple((pairs[i], complex(v[i])) for i in range(n))
+                    tuple((pairs[i], complex(c[i])) for i in range(n))
                 )
     floor = min(mins)
     if null_comb is not None:

@@ -21,9 +21,12 @@ from addspec import (
     extremal_eigenvalues,
     find_zigzag_loop,
     identity_deviation,
+    integer_base,
     l_space,
     l_space_onb,
+    lev_style_set,
     mirror_spectrum,
+    nonoverlap_riesz_spectrum,
     parseval_residual,
     plus_space,
     projection_coefficients,
@@ -476,6 +479,108 @@ def test_loop_lies_in_the_first_degenerate_prefix(eigh_calls):
     terms = {p for p, _ in cert.null_combination.terms}
     assert terms == set(pairs[6:10])
     assert eigh_calls == []
+
+
+# ---------------------------------------------------------------------------
+# The real symmetric eigen step of phase-aligned sections.
+# ---------------------------------------------------------------------------
+
+INT_LATTICE = [ExponentPair(a, b) for a in range(-4, 5) for b in range(-4, 5)]
+BIG = (998244353, 1000000007, 1000000009)
+
+
+def _moved(points, step):
+    """The points with the fourth one moved by ``step`` along x."""
+    pts = list(points)
+    pts[3] = ExponentPair(pts[3].a + step, pts[3].b)
+    return pts
+
+
+ALIGNED = {
+    **{f"lattice_{name}": (name, INT_LATTICE) for name in ("L", "Plus", "T", "Symmetric:t=3")},
+    "lev_L": ("L", lev_style_set(2, 60).points),
+    "lev_Plus": ("Plus", lev_style_set(3, 40).points),
+    "lev_T": ("T", lev_style_set(4, 20).points),
+    "onb_L": ("L", l_space_onb(40).points),
+    # 2 (b - a) c = 5 m is an integer for c = 5/6; the phases are not +-1, +-i
+    "rational_Symmetric_1/3": ("Symmetric:t=1/3", [
+        ExponentPair(Fraction(j, 7), Fraction(j, 7) + 3 * (j % 5)) for j in range(-40, 41, 3)
+    ]),
+    # common denominators near 1e27: the residues and their lcm are Python ints
+    "big_denominators_Symmetric_1/3": ("Symmetric:t=1/3", [
+        ExponentPair(Fraction(j, BIG[j % 3]), Fraction(j, BIG[j % 3]) + 3 * (j % 5))
+        for j in range(-20, 21)
+    ]),
+    **{f"mirror_k{label}": (f"Symmetric:t={k}", mirror_spectrum(k, 40).points)
+       for label, k in (("1", 1), ("1e3", 10**3), ("1e9", 10**9), ("1e15", 10**15))},
+}
+UNALIGNED = {
+    "nonoverlap_doubled": (
+        symmetric_space(3),
+        nonoverlap_riesz_spectrum(symmetric_space(3).mu, integer_base(16)).pairs.points,
+    ),
+    "mirror_k1e15_moved": (
+        symmetric_space(10**15),
+        _moved(mirror_spectrum(10**15, 40).points, Fraction(1, 10**15)),
+    ),
+    "two_piece_asymmetric": (AdditiveSpace(SPLIT, SPLIT), INT_LATTICE),
+    "big_denominators_shifted": (symmetric_space(Fraction(1, 3)), [
+        ExponentPair(Fraction(j, BIG[j % 3]), Fraction(j, BIG[j % 3]) + 3 * (j % 5) + (j == 7))
+        for j in range(-20, 21)
+    ]),
+}
+
+
+@pytest.mark.parametrize("space, pairs", ALIGNED.values(), ids=ALIGNED.keys())
+def test_aligned_sections_take_the_real_eigen_step(space, pairs):
+    g = assemble(space_from_name(space), pairs)
+    u = g.phases
+    assert u is not None
+    rotated = u.conj()[:, None] * g.entries * u
+    assert np.max(np.abs(rotated.imag)) <= 4 * np.finfo(float).eps
+    r = g.eigen_matrix()
+    assert r.dtype == np.float64 and np.array_equal(r, r.T)
+    assert np.max(np.abs(r - rotated.real)) <= 4 * np.finfo(float).eps
+    want = np.linalg.eigvalsh(g.entries)
+    for w, got in zip((want[0], want[-1]), extremal_eigenvalues(g)):
+        assert abs(got - w) <= 1e-13 * max(1.0, abs(w))
+
+
+@pytest.mark.parametrize("space, pairs", UNALIGNED.values(), ids=UNALIGNED.keys())
+def test_unaligned_sections_keep_the_complex_eigen_step(space, pairs):
+    g = assemble(space, pairs)
+    assert g.phases is None
+    assert g.eigen_matrix() is g.entries
+
+
+def test_symmetric_two_piece_measure_is_aligned():
+    # pieces mirrored about 0 with equal weights: the transform is real
+    mirrored = IntervalUnionMeasure.from_pieces([("-3", "-2", "1/2"), ("2", "3", "1/2")])
+    g = assemble(AdditiveSpace(mirrored, SPLIT), INT_LATTICE)
+    assert g.phases is None
+    g = assemble(AdditiveSpace(mirrored, mirrored), INT_LATTICE)
+    assert np.all(g.phases == 1)
+
+
+@pytest.mark.parametrize("step", [(1, 1), (1, Fraction(101, 100))], ids=["aligned", "unaligned"])
+def test_loop_free_null_combination_norm_is_lambda_min(step, eigh_calls):
+    # a loop-free near-duplicate pair far from 0, on the real eigen step and
+    # on the complex one: the squared norm of sum c_p e_p is lambda_min, as
+    # the coefficients c are the conjugate of G's eigenvector (the real
+    # form's one multiplied by the phases)
+    s = symmetric_space(10**9)
+    tiny = Fraction(1, 3 * 10**12)
+    pairs = [ExponentPair(0, 0), ExponentPair(step[0] * tiny, step[1] * tiny)]
+    cert = riesz_section_certificate(s, pairs, [2])
+    assert (cert.gram.phases is not None) == (step == (1, 1))
+    assert cert.verdict == "degenerate" and eigh_calls == [2]
+    assert abs(combination_norm_sq(s, cert.null_combination) - cert.lambda_min[0]) < 1e-15
+    # the real vector (1, -1)/sqrt(2) is 2e-6 from null here, and so is the
+    # eigenvector of G itself
+    (_, v0), (_, v1) = cert.null_combination.terms
+    assert abs(v1 / v0 + 1) > 1e-3
+    conj = FiniteCombination(tuple((p, c.conjugate()) for p, c in cert.null_combination.terms))
+    assert combination_norm_sq(s, conj) > 1e-7
 
 
 # ---------------------------------------------------------------------------
