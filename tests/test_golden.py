@@ -1,9 +1,12 @@
 """Committed report bodies of the CLI, checked case by case.
 
 Each case in ``golden/cases.json`` names the points (a ``construct`` argv,
-or a literal list), the argv of the command that reads them and, for an
-error object, its ``exit_code``; ``golden/<name>.json`` holds the expected
-body, with ``meta`` dropped, or the whole error object.  Strings, integers,
+or a literal list; none for a command that reads no ``--points``), the argv
+of the command that reads them and, for an error object, its ``exit_code``.
+A case whose ``construct`` step is itself the error under test has no argv.
+``golden/<name>.json`` holds the expected body, with ``meta`` dropped, the
+whole error object, or for ``--format csv`` the report's rows, each cell as
+the JSON number it spells or else as its string.  Strings, integers,
 booleans, nulls and the shape of the body must match exactly; floats must
 match to ``FLOAT_RTOL * max(1, |x|)``, because eigenvalues come from LAPACK
 and can move in the last bits across numpy and BLAS builds.
@@ -15,7 +18,9 @@ Rewrite the expected bodies and print what changed with
 A change that regenerates them records the diff in CHANGES.md.
 """
 
+import csv
 import difflib
+import io
 import json
 import math
 import sys
@@ -31,25 +36,41 @@ CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 FLOAT_RTOL = 1e-12
 
 
+def _cell(text):
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
 def run_case(case, workdir):
-    """Body of the case's report, or its error object, run in process under
-    ``workdir``; the command must exit with the case's ``exit_code`` (0 if
-    it names none)."""
+    """Body of the case's report, its error object or its CSV rows, run in
+    process under ``workdir``; the command (or a failing construct step) must
+    exit with the case's ``exit_code`` (0 if it names none)."""
     workdir = Path(workdir)
     points = workdir / "points.json"
+    argv = list(case.get("argv", []))
     if "construct" in case:
-        argv = list(case["construct"])
+        construct = list(case["construct"])
         if "measure" in case:
             measure = workdir / "measure.json"
             measure.write_text(json.dumps(case["measure"]), encoding="utf-8")
-            argv += ["--measure", str(measure)]
-        assert main(argv + ["--out", str(points)]) == 0
-    else:
+            construct += ["--measure", str(measure)]
+        code = main(construct + ["--out", str(points)])
+        if code or not argv:
+            assert code == case.get("exit_code", 0) and not argv
+            return json.loads(points.read_text(encoding="utf-8"))
+        argv += ["--points", str(points)]
+    elif "points" in case:
         points.write_text(json.dumps(case["points"]), encoding="utf-8")
-    out = workdir / "report.json"
-    code = main(case["argv"] + ["--points", str(points), "--out", str(out)])
+        argv += ["--points", str(points)]
+    out = workdir / "report"
+    code = main(argv + ["--out", str(out)])
     assert code == case.get("exit_code", 0)
-    report = json.loads(out.read_text(encoding="utf-8"))
+    text = out.read_text(encoding="utf-8")
+    if not code and "csv" in argv:
+        return [[_cell(c) for c in row] for row in csv.reader(io.StringIO(text))]
+    report = json.loads(text)
     return report if code else report["body"]
 
 
@@ -76,7 +97,7 @@ def check_case(case, workdir):
     assert_same_body(run_case(case, workdir), want)
 
 
-GRAM = [c for c in CASES if c["argv"][0] == "gram" and "exit_code" not in c]
+GRAM = [c for c in CASES if c.get("argv", [""])[0] == "gram" and "exit_code" not in c]
 OTHER = [c for c in CASES if c not in GRAM]
 
 
