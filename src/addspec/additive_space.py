@@ -6,14 +6,14 @@ has projections e_a and e_b, so
     <e_{a,b}, e_{u,v}>_rho = ft(mu, a-u)/2 + ft(nu, b-v)/2,
 
 which makes every Gram entry a two-term closed form: ``exp_inner`` takes one
-entry from the difference kernel ``measures.transform_at``, and
-``gram.assemble`` a whole section from it or from the same exact phase
-reductions per point.  General functions are supported only as
-piecewise polynomials, integrated in closed form: on each overlap of a
-measure piece and a function piece, the moments of t^k e^{i omega t} on
-[-1, 1] for all frequencies at once, with the phases reduced exactly by
-``measures.unit_phase``.  The cost does not grow with |freq|, and the values
-stay a few ulps from exact.
+entry from the difference kernel ``measures.transform_rows``, and
+``gram.assemble`` a whole section from it, through a table over the span
+of the differences or on the points themselves.  General functions are
+supported only as piecewise polynomials, integrated in closed form: on each
+overlap of a measure piece and a function piece, the moments of
+t^k e^{i omega t} on [-1, 1] for all frequencies at once, with the phases
+reduced exactly by ``measures.unit_phase``.  The cost does not grow with
+|freq|, and the values stay a few ulps from exact.
 
 The exponent pairs themselves, ``ExponentPair``, are defined in ``exponents``
 (which needs no numpy) and imported here, so

@@ -44,8 +44,8 @@ from .additive_space import (
 from . import additive_space
 from .errors import MalformedInputError
 from .exponents import ExponentSet, ZigzagPath, find_zigzag_loop
-from .measures import INT64_SAFE, IntervalUnionMeasure, as_fraction, residues, sinc
-from .measures import transform_at, unit_phase
+from .measures import INT64_SAFE, IntervalUnionMeasure, as_fraction, residues
+from .measures import transform_rows, unit_phase
 
 MATRIX_CAP = 4096
 
@@ -107,10 +107,10 @@ def _half_rows(m: IntervalUnionMeasure, coords: Sequence[Fraction]):
 
     The grid holds the numerators over the common denominator D, as Python
     ints once one or D reaches 2^62.  A span small next to n^2 gets a table of
-    ``transform_at`` over it, extended by ft(-d) = conj ft(d).  Otherwise (a
-    huge gap, say) piece (l, r, w) gives  w u_i conj(u_j) sinc((c_i - c_j)(r - l))
-    with the phases u_i and the sine's residues reduced once per point; a
-    pair's sine turn is the difference of two residues, so needs no Python int.
+    ``transform_rows`` over it against 0, extended by ft(-d) = conj ft(d).
+    Otherwise (a huge gap, say) the rows are ``transform_rows`` on the grid
+    itself, its phases and residues reduced once per point, so a pair needs
+    no Python int.
     """
     import numpy as np
 
@@ -122,30 +122,14 @@ def _half_rows(m: IntervalUnionMeasure, coords: Sequence[Fraction]):
     low = grid.min()
     span = int(grid.max() - low)
     if 2 * span + 1 <= len(grid) ** 2 / 4:
-        half = 0.5 * transform_at(m, np.arange(span + 1), D)
+        at_zero = transform_rows(m, np.arange(span + 1), D, 0.5)
+        half = at_zero(slice(None), slice(0, 1), np.empty((span + 1, 1), dtype=complex))[:, 0]
         table = np.concatenate((half[:0:-1].conj(), half))
         at = np.asarray(grid - low, dtype=np.int64)
         return grid, D, lambda sl, cols, out: np.take(
             table, at[sl, None] - (at[cols] - span), out=out, mode="clip"
         ), True
-    pieces = []
-    for l, r, w in m.pieces:
-        h = (r - l) / (2 * D)
-        u = unit_phase(grid, (l + r) / (2 * D))
-        pieces.append((0.5 * float(w), u, residues(grid, h), h.denominator, float(r - l)))
-
-    def rows(sl, cols, out):
-        # true division rounds correctly for Python ints of any size
-        x = np.asarray((grid[sl, None] - grid[cols]) / D, dtype=float)
-        out[...] = 0
-        for half_w, u, k, q, width in pieces:
-            term = np.multiply.outer(u[sl], half_w * u[cols].conj())
-            term *= sinc(x * width, (k[sl, None] - k[cols]) % q, q)
-            out += term
-        out[x == 0] = 0.5
-        return out
-
-    return grid, D, rows, False
+    return grid, D, transform_rows(m, grid, D, 0.5), False
 
 
 def _axes(s: AdditiveSpace, pairs: Sequence[ExponentPair]):

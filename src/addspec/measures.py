@@ -7,11 +7,11 @@ the closed form
 
     weight * exp(pi*i*lam*(left+right)) * S(pi*lam*(right-left)),
 
-with S(z) = sin(z)/z.  ``transform_at`` evaluates it at frequencies d/D, for
-integers d over a common denominator D, with every phase reduced mod 1 in
-integer arithmetic (``residues``) and centred before it is rounded
-(``turns``), so each value is a few ulps from exact however far the
-frequency or the support sits from 0.
+with S(z) = sin(z)/z.  ``transform_rows`` evaluates it at the differences
+(x_i - x_j)/D of a grid of integers over a common denominator D, with every
+phase reduced mod 1 in integer arithmetic (``residues``) and centred before
+it is rounded (``turns``), so each value is a few ulps from exact however
+far the frequency or the support sits from 0.
 """
 
 from __future__ import annotations
@@ -149,45 +149,55 @@ def unit_phase(nums, h: Fraction):
     return np.exp(2j * np.pi * turns(residues(nums, h), h.denominator))
 
 
-def sinc(x, k, q: int):
-    """sin(pi x)/(pi x), the sine taken at the exact turn k/q of x/2 mod 1;
-    exactly 1 below |pi x| = 1e-8, where pi x may also be subnormal."""
-    import numpy as np
+def transform_rows(m: IntervalUnionMeasure, grid, D: int, scale: float = 1.0):
+    """``rows(rows, cols, out)`` writing scale * ft(m, (x_i - x_j) / D) for
+    the integers x_i of grid[rows] against x_j of grid[cols]; exactly scale
+    where (x_i - x_j) / D rounds to 0.
 
-    z = np.pi * x
-    sine = np.sin(2 * np.pi * turns(k, q))
-    return np.divide(sine, z, out=np.ones_like(z), where=np.abs(z) >= 1e-8)
-
-
-def transform_at(m: IntervalUnionMeasure, d, D: int):
-    """ft(m, d / D) at each integer of ``d``; exactly 1 where d / D rounds to 0.
-
-    Piece (l, r, w) contributes  w exp(2 pi i d (l + r) / (2D)) sin(z) / z,
-    z = pi d (r - l) / D, with both turns reduced by ``residues``.
+    Piece (l, r, w) gives  w u_i conj(u_j) sin(2 pi (k_i - k_j) / q) / z  with
+    z = pi (x_i - x_j) (r - l) / D.  The phases u = e^{2 pi i x (l + r) / (2D)}
+    and the residues k/q = x (r - l) / (2D) mod 1 are reduced once per point,
+    so a pair's sine turn is (k_i - k_j) mod q.  ``grid`` is an ndarray, of
+    Python ints once an entry, D or a product of the reductions reaches 2^62.
     """
     import numpy as np
 
-    d = d if isinstance(d, np.ndarray) and D < INT64_SAFE else np.array(d, dtype=object)
-    # true division rounds correctly for Python ints of any size
-    lam = np.asarray(d / D, dtype=float)
-    out = np.zeros(d.shape, dtype=complex)
+    if D >= INT64_SAFE:
+        grid = grid.astype(object)
+    pieces = []
     for l, r, w in m.pieces:
         h = (r - l) / (2 * D)
-        shape = sinc(lam * float(r - l), residues(d, h), h.denominator)
-        out += unit_phase(d, (l + r) / (2 * D)) * (float(w) * shape)
-    out[lam == 0] = 1
-    return out
+        u = unit_phase(grid, (l + r) / (2 * D))
+        pieces.append((scale * float(w), u, residues(grid, h), h.denominator, float(r - l)))
+
+    def rows(sl, cols, out):
+        # true division rounds correctly for Python ints of any size
+        x = np.asarray((grid[sl, None] - grid[cols]) / D, dtype=float)
+        out[...] = 0
+        for w, u, k, q, width in pieces:
+            term = np.multiply.outer(u[sl], w * u[cols].conj())
+            z = np.pi * (x * width)
+            sine = np.sin(2 * np.pi * turns((k[sl, None] - k[cols]) % q, q))
+            # exactly 1 below |z| = 1e-8, where z may also be subnormal
+            term *= np.divide(sine, z, out=np.ones_like(z), where=np.abs(z) >= 1e-8)
+            out += term
+        out[x == 0] = scale
+        return out
+
+    return rows
 
 
 def fourier_transform(m: IntervalUnionMeasure, lam) -> complex:
     """Return the transform  integral of e^{2 pi i lam x} dm(x)  in closed form.
 
     Finite lam only, taken exactly (a float by its exact binary value): one
-    entry of ``transform_at``, exactly 1 at lam = 0.
+    entry of ``transform_rows``, exactly 1 at lam = 0.
     """
+    import numpy as np
+
     lam = as_fraction(lam)
-    value = complex(transform_at(m, [abs(lam.numerator)], lam.denominator)[0])
-    return value if lam >= 0 else value.conjugate()
+    rows = transform_rows(m, np.array([lam.numerator, 0], dtype=object), lam.denominator)
+    return complex(rows(slice(0, 1), slice(1, 2), np.empty((1, 1), dtype=complex))[0, 0])
 
 
 def support_bounds(m: IntervalUnionMeasure) -> Tuple[Fraction, Fraction]:
