@@ -15,14 +15,15 @@ names it uses from ``gram``, ``ortho_solver``, ``additive_space`` and
 ``constructions`` go through the package's first-use loader when a command
 first needs them, so analyze loads none of those modules and construct only
 ``constructions``.  No module loads numpy on import, so both run on the
-standard library alone.
+standard library alone.  Analyze loads neither ``dataclasses`` (nor the
+``inspect`` it imports) nor ``csv``: ``_encode`` imports ``dataclasses`` only
+when it meets a result record, which the modules that define records have
+loaded already, and ``run`` imports ``csv`` only for ``--format csv``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import functools
 import io
 import json
@@ -39,7 +40,6 @@ from .exponents import (
     lower_beurling_density,
     max_zigzag_length,
     multiplicity,
-    project,
 )
 from .measures import IntervalUnionMeasure, as_fraction
 
@@ -128,8 +128,9 @@ def _cmd_analyze(args: argparse.Namespace):
     windows = [args.window / 2, args.window, 2 * args.window]
     rows = []
     for axis in ("x", "y"):
-        # floats of the sorted Fractions are sorted: each window reuses them
-        proj = [float(v) for v in project(es, axis)]
+        # converted once and sorted once: each window reuses the list, the
+        # floats of project()'s sorted Fractions, as rounding is monotone
+        proj = sorted(map(float, es.axis_lines(axis)))
         sweep = []
         for w in windows:
             est = lower_beurling_density(proj, w, args.anchors)
@@ -280,7 +281,9 @@ def _encode(value):
     ``"p/q"`` strings, result records as dicts of their fields."""
     if isinstance(value, Fraction):
         return str(value)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    if hasattr(value, "__dataclass_fields__") and not isinstance(value, type):
+        import dataclasses
+
         return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     raise TypeError(f"{type(value).__name__} is not part of a report body")
 
@@ -295,6 +298,8 @@ def run(args: argparse.Namespace) -> int:
         return exc.exit_code
 
     if args.fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)

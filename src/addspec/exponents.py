@@ -9,15 +9,19 @@ floating-point question.  An ``ExponentSet`` interns each distinct x and y
 coordinate once, keyed by the exact (numerator, denominator) of the
 normalised Fraction, as a small integer line id; multiplicities,
 projections, membership and the graph searches then work on ints and map
-back to points only for their output.  The incidence forest is grown once
-per set, in insertion order, and cached on it: a union-find over the line
-ids finds the first point whose two lines are already connected, which
-closes a loop through the unique forest path between them.
+back to points only for their output.  A point file is interned an axis at
+a time: each distinct coordinate value is parsed once, and the points'
+``ExponentPair`` objects are built only when ``points`` is first read, so
+``analyze`` never builds them.  The incidence forest is grown once per set,
+in insertion order, and cached on it: a union-find over the line ids finds
+the first point whose two lines are already connected, which closes a loop
+through the unique forest path between them.
 
 ``ExponentPair``, the exact frequency pair that every layer shares, is
 defined here rather than beside the inner products in ``additive_space``, so
 this module needs only the standard library and ``analyze`` runs without
-numpy.
+numpy.  The value classes are ``measures.Frozen`` classes, not dataclasses,
+so importing this module loads neither ``dataclasses`` nor ``inspect``.
 """
 
 from __future__ import annotations
@@ -25,31 +29,35 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter, deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     MalformedInputError,
     NotAnSSequenceError,
     ZigzagLoopDetected,
 )
-from .measures import as_fraction
+from .measures import Frozen, as_fraction
 
 UNBOUNDED_BY_LOOP = "unbounded-by-loop"
 
 
-@dataclass(frozen=True)
-class ExponentPair:
+class ExponentPair(Frozen):
     """A frequency pair with exact rational coordinates."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("a", "b")
+    _fields = ("a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_fraction(self.a))
-        object.__setattr__(self, "b", as_fraction(self.b))
+    def __init__(self, a, b):
+        object.__setattr__(self, "a", as_fraction(a))
+        object.__setattr__(self, "b", as_fraction(b))
+
+    def _values(self):
+        return self.a, self.b
+
+    def __hash__(self):
+        return hash((self.a, self.b))
 
     def __repr__(self):
         return f"({self.a}, {self.b})"
@@ -58,9 +66,8 @@ class ExponentPair:
     def _exact(cls, a: Fraction, b: Fraction) -> "ExponentPair":
         """The pair (a, b) of coordinates that are already Fractions."""
         p = object.__new__(cls)
-        fields = p.__dict__
-        fields["a"] = a
-        fields["b"] = b
+        object.__setattr__(p, "a", a)
+        object.__setattr__(p, "b", b)
         return p
 
 
@@ -72,94 +79,78 @@ def _as_pair(p) -> ExponentPair:
     raise MalformedInputError(f"not an exponent pair: {p!r}")
 
 
-def _interner(parsed: Dict[str, Fraction]):
-    """Line numbering of one axis: returns ``(line_id, lines, table)``.
-
-    ``line_id(v)`` is the id of coordinate ``v`` (anything ``as_fraction``
-    takes), keyed in ``table`` by the exact (numerator, denominator) of its
-    value, so "1/2" and "2/4" land on one line.  A key seen for the first
-    time gets the next free id, ``len(lines)``, and its value is appended to
-    ``lines``.  Point files repeat each coordinate string on many points, so
-    a string this axis has seen maps straight to its id, and a string is
-    parsed once into ``parsed``, which both axes share.
-    """
-    lines: List[Fraction] = []
+def _number(keys: Iterable[Tuple[int, int]], first: int):
+    """Line ids of exact (numerator, denominator) ``keys``, numbered from
+    ``first`` in order of first use, and the table from key to id."""
     table: Dict[Tuple[int, int], int] = {}
-    seen: Dict[str, int] = {}
-
-    def exact_id(f: Fraction) -> int:
-        key = (f.numerator, f.denominator)
-        i = table.get(key)
-        if i is None:
-            i = table[key] = len(lines)
-            lines.append(f)
-        return i
-
-    def line_id(v) -> int:
-        if not isinstance(v, str):
-            return exact_id(as_fraction(v))
-        i = seen.get(v)
-        if i is None:
-            f = parsed.get(v)
-            if f is None:
-                f = parsed[v] = as_fraction(v)
-            i = seen[v] = exact_id(f)
-        return i
-
-    return line_id, lines, table
+    return [table.setdefault(key, first + len(table)) for key in keys], table
 
 
-def _line_ids(coords: Iterable):
-    """Line ids of the (x, y) coordinate pairs ``coords``, taken in order.
+def _intern(values: Sequence, parse: Callable[..., Fraction], first: int):
+    """Line ids of one axis's coordinate ``values``: ``(ids, lines, table)``.
 
-    Returns ``(xid, yid, lines, x_table, y_table)``: x lines are numbered
-    from 0 in order of first use, y lines continue after them, ``lines[i]``
-    is the Fraction of line ``i`` and each table maps an exact (numerator,
-    denominator) key to its id.
+    Each distinct value is parsed once, in order of first use, by ``parse``,
+    and its line is keyed by the exact (numerator, denominator) of the
+    Fraction, so "1/2", "2/4" and 0.5 land on one line (``_number``);
+    ``lines`` holds the Fraction of each line.  A value that cannot be a dict
+    key (a list, say) is no rational: the values are then parsed in order
+    until one fails.
     """
-    parsed: Dict[str, Fraction] = {}
-    x_id, x_lines, x_table = _interner(parsed)
-    y_id, y_lines, y_table = _interner(parsed)
-    xid, yid = [], []
-    for x, y in coords:
-        xid.append(x_id(x))
-        yid.append(y_id(y))
-    n_x = len(x_lines)
-    y_table = {key: n_x + j for key, j in y_table.items()}
-    return xid, [n_x + j for j in yid], x_lines + y_lines, x_table, y_table
+    try:
+        distinct = dict.fromkeys(values)
+    except TypeError:
+        for v in values:
+            as_fraction(v)
+        raise
+    fracs = list(map(parse, distinct))
+    ids, table = _number([(f.numerator, f.denominator) for f in fracs], first)
+    id_of = dict(zip(distinct, ids))
+    lines = dict(zip(ids, fracs))
+    return list(map(id_of.__getitem__, values)), list(lines.values()), table
 
 
-@dataclass(frozen=True)
-class ExponentSet:
+class ExponentSet(Frozen):
     """Finite, insertion-ordered set of exponent pairs without duplicates.
 
-    ``xid[k]`` and ``yid[k]`` are the line ids of ``points[k]``: x lines are
-    numbered from 0 in order of first use, y lines continue after them, and
-    ``lines[i]`` is the coordinate of line ``i``.
+    ``xid[k]`` and ``yid[k]`` are the line ids of the k-th point: x lines
+    are numbered from 0 in order of first use, y lines continue after them,
+    and ``lines[i]`` is the coordinate of line ``i``.  ``points``, the
+    ``ExponentPair`` of each point, is built from them on first use.
     """
 
-    points: Tuple[ExponentPair, ...]
+    _fields = ("points",)
 
-    def __post_init__(self):
-        pts = tuple(_as_pair(p) for p in self.points)
-        self._store(pts, *_line_ids((p.a, p.b) for p in pts))
+    def __init__(self, points: Iterable):
+        pts = tuple(map(_as_pair, points))
+        self.__dict__["points"] = pts
+        xid, x_table = _number([(p.a.numerator, p.a.denominator) for p in pts], 0)
+        yid, y_table = _number([(p.b.numerator, p.b.denominator) for p in pts], len(x_table))
+        # ids are numbered by first use, so the first insertions run 0, 1, ...
+        lines = dict(zip(xid, [p.a for p in pts]))
+        lines.update(zip(yid, [p.b for p in pts]))
+        self._store(xid, yid, list(lines.values()), x_table, y_table)
 
-    def _store(self, points, xid, yid, lines, x_table, y_table):
-        index = {key: k for k, key in enumerate(zip(xid, yid))}
-        if len(index) != len(points):
+    def _store(self, xid, yid, lines, x_table, y_table) -> None:
+        index = dict(zip(zip(xid, yid), range(len(xid))))
+        if len(index) != len(xid):
             raise MalformedInputError("duplicate points in exponent set")
-        for name, value in (
-            ("points", points), ("xid", xid), ("yid", yid), ("lines", lines),
-            ("_x_table", x_table), ("_y_table", y_table), ("_index", index),
-        ):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(
+            xid=xid, yid=yid, lines=lines,
+            _x_table=x_table, _y_table=y_table, _index=index,
+        )
 
     @classmethod
     def of(cls, points: Iterable) -> "ExponentSet":
         return cls(tuple(points))
 
+    @cached_property
+    def points(self) -> Tuple[ExponentPair, ...]:
+        lines = self.lines
+        return tuple(map(ExponentPair._exact,
+                         map(lines.__getitem__, self.xid), map(lines.__getitem__, self.yid)))
+
     def __len__(self):
-        return len(self.points)
+        return len(self.xid)
 
     def __iter__(self):
         return iter(self.points)
@@ -174,34 +165,57 @@ class ExponentSet:
         j = self._y_table.get((p.b.numerator, p.b.denominator))
         return self._index.get((i, j))
 
+    def axis_lines(self, axis: str) -> List[Fraction]:
+        """Coordinates of the distinct lines of ``axis`` ("x" or "y"), in
+        order of first use."""
+        n_x = len(self._x_table)
+        if axis == "x":
+            return self.lines[:n_x]
+        if axis == "y":
+            return self.lines[n_x:]
+        raise MalformedInputError(f"axis must be 'x' or 'y', got {axis!r}")
+
     @cached_property
     def _forest(self):
         """``_grow_forest`` over every point, grown on first use and kept."""
         return _grow_forest(self.xid, self.yid, len(self.lines))
 
     def to_json(self) -> list:
-        return [[str(p.a), str(p.b)] for p in self.points]
+        names = [str(v) for v in self.lines]
+        return [[names[i], names[j]] for i, j in zip(self.xid, self.yid)]
 
     @classmethod
     def from_json(cls, data) -> "ExponentSet":
+        """The set of a point file's JSON list of [x, y] pairs.
+
+        Faults are reported in this order: the first entry that is not a
+        pair, then the first bad x coordinate, then the first bad y
+        coordinate, then duplicate points.
+        """
         if not isinstance(data, list):
             raise MalformedInputError("point set must be a JSON list of pairs")
-
-        def entries():
+        if not set(map(type, data)) <= {list, tuple} or not set(map(len, data)) <= {2}:
             for item in data:
                 if not isinstance(item, (list, tuple)) or len(item) != 2:
                     raise MalformedInputError(f"bad point entry: {item!r}")
-                yield item
+        parsed: Dict[object, Fraction] = {}
 
-        xid, yid, lines, x_table, y_table = _line_ids(entries())
-        points = tuple(map(ExponentPair._exact, [lines[i] for i in xid], [lines[j] for j in yid]))
+        def parse(v) -> Fraction:
+            # one memo for both axes: a string used on both is parsed once
+            f = parsed.get(v)
+            if f is None:
+                f = parsed[v] = as_fraction(v)
+            return f
+
+        xs, ys = zip(*data) if data else ((), ())
+        xid, x_lines, x_table = _intern(xs, parse, 0)
+        yid, y_lines, y_table = _intern(ys, parse, len(x_lines))
         es = object.__new__(cls)
-        es._store(points, xid, yid, lines, x_table, y_table)
+        es._store(xid, yid, x_lines + y_lines, x_table, y_table)
         return es
 
 
-@dataclass(frozen=True)
-class ZigzagPath:
+class ZigzagPath(Frozen):
     """Alternating horizontal/vertical path of points.
 
     A zig is a horizontal move (shared y coordinate), a zag a vertical move
@@ -209,11 +223,11 @@ class ZigzagPath:
     point at the end and has positive even length.
     """
 
-    vertices: Tuple[ExponentPair, ...]
-    starts_with: Optional[str] = None
+    __slots__ = ("vertices", "starts_with")
+    _fields = ("vertices", "starts_with")
 
-    def __post_init__(self):
-        verts = tuple(_as_pair(p) for p in self.vertices)
+    def __init__(self, vertices: Tuple[ExponentPair, ...], starts_with: Optional[str] = None):
+        verts = tuple(_as_pair(p) for p in vertices)
         object.__setattr__(self, "vertices", verts)
         if not verts:
             raise MalformedInputError("zigzag needs at least one point")
@@ -231,12 +245,13 @@ class ZigzagPath:
             if m0 == m1:
                 raise MalformedInputError("zigzag moves must alternate")
         derived = moves[0] if moves else None
-        if self.starts_with is None:
-            object.__setattr__(self, "starts_with", derived)
-        elif moves and self.starts_with != derived:
+        if starts_with is None:
+            starts_with = derived
+        elif moves and starts_with != derived:
             raise MalformedInputError(
-                f"path starts with a {derived}, not a {self.starts_with}"
+                f"path starts with a {derived}, not a {starts_with}"
             )
+        object.__setattr__(self, "starts_with", starts_with)
 
     @property
     def length(self) -> int:
@@ -274,52 +289,51 @@ def _grow_forest(xid: Sequence[int], yid: Sequence[int], n_lines: int):
     return adj, None
 
 
-def _bfs(adj, src: int, dst: Optional[int] = None) -> dict:
-    """Breadth-first tree from ``src``: line -> (parent, edge, depth).
-
-    Entries are in visiting order, so after a full search the last one is a
-    farthest line; the search stops early once ``dst`` is reached.
-    """
-    tree = {src: (None, None, 0)}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        if u == dst:
-            break
-        for v, k in adj[u]:
-            if v not in tree:
-                tree[v] = (u, k, tree[u][2] + 1)
-                queue.append(v)
-    return tree
-
-
-def _close_loop(adj, xid, yid, points, k: int) -> ZigzagPath:
+def _close_loop(adj, xid, yid, lines, k: int) -> ZigzagPath:
     """The loop that edge ``k`` closes with the forest path between its lines.
 
-    ``xid``, ``yid`` and ``points`` are indexed by edge, as in ``_grow_forest``.
+    ``xid`` and ``yid`` are indexed by edge, as in ``_grow_forest``, and
+    ``lines`` holds the coordinate of each line id; the pairs are built for
+    the loop's edges only.
     """
     node, dst = xid[k], yid[k]
-    tree = _bfs(adj, dst, node)
-    pts = []
+    # breadth-first tree from dst, line -> (parent line, edge), until node
+    tree = {dst: (None, None)}
+    queue = deque([dst])
+    while node not in tree:
+        u = queue.popleft()
+        for v, q in adj[u]:
+            if v not in tree:
+                tree[v] = (u, q)
+                queue.append(v)
+    edges = []
     while node != dst:
-        node, q, _ = tree[node]
-        pts.append(points[q])
-    return ZigzagPath(tuple(pts) + (points[k], pts[0]))
+        node, q = tree[node]
+        edges.append(q)
+    edges += [k, edges[0]]
+    return ZigzagPath(tuple(ExponentPair._exact(lines[xid[q]], lines[yid[q]]) for q in edges))
+
+
+def _sweep(adj, src: int, depth: List[int]) -> int:
+    """Breadth-first depths from ``src`` into ``depth`` (-1 marks a line not
+    reached yet); returns the last line reached, a farthest one."""
+    depth[src] = 0
+    queue = [src]
+    for u in queue:
+        d = depth[u] + 1
+        for v, _ in adj[u]:
+            if depth[v] < 0:
+                depth[v] = d
+                queue.append(v)
+    return queue[-1]
 
 
 def project(es: ExponentSet, axis: str) -> List[Fraction]:
     """Distinct axis coordinates, sorted."""
-    if not es.points:
+    if not es.xid:
         raise MalformedInputError("empty exponent set")
-    n_x = len(es._x_table)
-    if axis == "x":
-        lines = es.lines[:n_x]
-    elif axis == "y":
-        lines = es.lines[n_x:]
-    else:
-        raise MalformedInputError(f"axis must be 'x' or 'y', got {axis!r}")
     # integer floors order most lines; Fractions are compared only on ties
-    return sorted(lines, key=lambda v: (v.numerator // v.denominator, v))
+    return sorted(es.axis_lines(axis), key=lambda v: (v.numerator // v.denominator, v))
 
 
 def multiplicity(es: ExponentSet, per_line: bool = True):
@@ -330,7 +344,7 @@ def multiplicity(es: ExponentSet, per_line: bool = True):
     and None takes its place: the counts stay on integer line ids, and no
     line's Fraction is hashed.
     """
-    if not es.points:
+    if not es.xid:
         raise MalformedInputError("empty exponent set")
     per_x = Counter(es.xid)
     per_y = Counter(es.yid)
@@ -354,30 +368,29 @@ def find_zigzag_loop(es: ExponentSet) -> Optional[ZigzagPath]:
     adj, closing = es._forest
     if closing is None:
         return None
-    return _close_loop(adj, es.xid, es.yid, es.points, closing)
+    return _close_loop(adj, es.xid, es.yid, es.lines, closing)
 
 
 def max_zigzag_length(es: ExponentSet) -> Union[int, str]:
     """Longest zigzag length, or UNBOUNDED_BY_LOOP when a loop exists.
 
     Loop-free sets give a forest, where zigzags are simple paths; the longest
-    one is the tree diameter (in edges) minus one, found by double BFS.
+    one is the tree diameter (in edges) minus one, found by a double sweep
+    of each tree: breadth-first from any line to a farthest one, then from
+    there.
     """
-    if not es.points:
+    if not es.xid:
         raise MalformedInputError("empty exponent set")
     adj, closing = es._forest
     if closing is not None:
         return UNBOUNDED_BY_LOOP
     best = 0
-    seen = set()
+    first = [-1] * len(adj)
+    second = [-1] * len(adj)
     for start in range(len(adj)):
-        if start in seen:
-            continue
-        comp = _bfs(adj, start)
-        seen.update(comp)
-        far = next(reversed(comp))
-        _, _, diameter = next(reversed(_bfs(adj, far).values()))
-        best = max(best, diameter - 1)
+        if first[start] < 0:
+            far = _sweep(adj, _sweep(adj, start, first), second)
+            best = max(best, second[far] - 1)
     return best
 
 
@@ -414,7 +427,7 @@ def zigzag_distance_map(
         vpred = first_on_x.get(xid[m])
         hpred = first_on_y.get(yid[m])
         if vpred is not None and hpred is not None:
-            loop = _close_loop(prefix, xid, yid, order, m)
+            loop = _close_loop(prefix, xid, yid, es.lines, m)
             raise ZigzagLoopDetected(f"loop through {order[m]}", loop=loop)
         if vpred is not None:
             dist.append(dist[vpred] + 1)

@@ -12,12 +12,15 @@ with S(z) = sin(z)/z.  ``transform_rows`` evaluates it at the differences
 phase reduced mod 1 in integer arithmetic (``residues``) and centred before
 it is rounded (``turns``), so each value is a few ulps from exact however
 far the frequency or the support sits from 0.
+
+``Frozen`` gives this module's measure and ``exponents``' value classes
+what a frozen dataclass would, without importing ``dataclasses`` (which
+imports ``inspect``) on the ``analyze`` path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple, Union
 
@@ -54,8 +57,43 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise MalformedInputError(f"not a rational: {value!r}")
 
 
-@dataclass(frozen=True)
-class IntervalUnionMeasure:
+class Frozen:
+    """Immutable value whose constructor takes the fields ``_fields``, in
+    order: ``==`` and ``hash`` go by the tuple of their values, ``repr``
+    spells them out, copies and pickles are rebuilt through the constructor,
+    and assigning or deleting an attribute raises AttributeError, as on a
+    frozen dataclass.  Constructors set fields with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IntervalUnionMeasure(Frozen):
     """Probability measure on the line: disjoint weighted intervals.
 
     ``pieces`` is a sorted tuple of (left, right, weight) with exact rational
@@ -63,13 +101,14 @@ class IntervalUnionMeasure:
     to 1 within WEIGHT_TOL.
     """
 
-    pieces: Tuple[Tuple[Fraction, Fraction, Fraction], ...]
+    __slots__ = ("pieces",)
+    _fields = ("pieces",)
 
-    def __post_init__(self):
-        if not self.pieces:
+    def __init__(self, pieces: Tuple[Tuple[Fraction, Fraction, Fraction], ...]):
+        if not pieces:
             raise MalformedInputError("measure needs at least one interval")
         norm = tuple(
-            (as_fraction(l), as_fraction(r), as_fraction(w)) for l, r, w in self.pieces
+            (as_fraction(l), as_fraction(r), as_fraction(w)) for l, r, w in pieces
         )
         object.__setattr__(self, "pieces", norm)
         for l, r, w in norm:

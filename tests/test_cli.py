@@ -288,6 +288,54 @@ def test_point_file_error_messages(tmp_path, data, message):
     assert err == {"error": {"code": "malformed-input", "message": message}}
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # every entry's shape is checked before any value is parsed
+        ([["x", "1"], ["1"]], "bad point entry: ['1']"),
+        ([[[1], "1"], "1"], "bad point entry: '1'"),
+        # then the x coordinates, then the y coordinates
+        ([["1", "y"], ["x", "1"]], "not a rational: 'x'"),
+        ([["1", [2]], [[1], "1"]], "not a rational: [1]"),
+        # along an axis, the first bad value in point order
+        ([["1", "1"], ["a", "2"], ["b", "3"], ["a", "4"]], "not a rational: 'a'"),
+        ([["x", "1"], [[1], "2"]], "not a rational: 'x'"),
+        ([[[1], "1"], ["x", "2"]], "not a rational: [1]"),
+        # duplicates last
+        ([["1", "1"], ["1", "1"], ["1", "z"]], "not a rational: 'z'"),
+    ],
+)
+def test_point_file_fault_order(tmp_path, data, message):
+    """A file with several faults reports the first in this order: entry
+    shapes, x coordinates, y coordinates, duplicate points."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, err = run_json(tmp_path, ["analyze", "--points", str(bad)], name="err.json")
+    assert code == 3
+    assert err == {"error": {"code": "malformed-input", "message": message}}
+
+
+def test_analyze_loads_only_what_it_uses(tmp_path, fresh_python):
+    """A fresh analyze process (JSON output) imports no dataclasses, inspect
+    or csv, no numpy and none of the numerical modules."""
+    pts = tmp_path / "points.json"
+    pts.write_text(json.dumps([["1", "1"], ["1", "3"], ["3", "1"], ["3", "3"], ["5/2", "-7"]]))
+    script = (
+        "import json, sys\n"
+        "from addspec.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "unwanted = ['dataclasses', 'inspect', 'csv', 'numpy', 'addspec.gram',\n"
+        "            'addspec.additive_space', 'addspec.ortho_solver']\n"
+        "print(json.dumps([m for m in unwanted if m in sys.modules]), file=sys.stderr)\n"
+        "raise SystemExit(code)\n"
+    )
+    out = tmp_path / "report.json"
+    proc = fresh_python(script, "analyze", "--points", str(pts), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr) == []
+    assert json.loads(out.read_text())["body"]["loop"]["length"] == 4
+
+
 def test_overlapping_support_exit_code(tmp_path):
     m = tmp_path / "m.json"
     m.write_text(json.dumps([{"left": "0", "right": "1", "weight": "1"}]))

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -32,6 +34,7 @@ from addspec.errors import (
     NotAnSSequenceError,
     ZigzagLoopDetected,
 )
+from addspec.measures import as_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +458,109 @@ def test_line_ids_match_fraction_keyed_references(data):
         assert max_zigzag_length(es) == longest
     assert all(spelling in es for spelling in text)
     assert (99, 0) not in es and (pts[0][0], 99) not in es and (99, pts[0][1]) not in es
+
+
+BIG = [2**63, 2**64 + 1, -(2**63 + 1)]
+
+
+def json_spelling(draw, v):
+    """One JSON spelling of the rational v: a "p/q" string, scaled or not, an
+    integer, a float when v is a dyadic, "-0" for zero."""
+    options = [str(v), f"{v.numerator * 3}/{v.denominator * 3}"]
+    if v.denominator == 1:
+        options.append(v.numerator)
+    if v.denominator in (1, 2) and abs(v) < 2**53:
+        options.append(float(v))
+    if v == 0:
+        options += ["-0", "0/7"]
+    return draw(st.sampled_from(options))
+
+
+@st.composite
+def json_point_files(draw):
+    line = st.one_of(
+        st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2])),
+        st.sampled_from(BIG).map(Fraction),
+    )
+    pts = draw(st.lists(st.tuples(line, line), min_size=0, max_size=12, unique=True))
+    return [[json_spelling(draw, a), json_spelling(draw, b)] for a, b in pts]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=json_point_files())
+def test_bulk_interning_matches_the_constructor(data):
+    es = ExponentSet.from_json(data)
+    built = ExponentSet.of([(as_fraction(x), as_fraction(y)) for x, y in data])
+    assert (es.xid, es.yid, es.lines) == (built.xid, built.yid, built.lines)
+    assert {type(v) for v in es.lines + built.lines} <= {Fraction}
+    assert (es._x_table, es._y_table, es._index) == (built._x_table, built._y_table, built._index)
+    assert es.points == built.points and es == built and hash(es) == hash(built)
+    assert len(es) == len(data)
+    assert all(point in es and point in built for point in data)
+    assert all(p in es for p in built.points)
+    assert es.to_json() == built.to_json()
+
+
+def test_points_are_built_on_first_use():
+    es = ExponentSet.from_json([["1/2", "1"], ["2/4", "3"], [0.5, "-0"]])
+    assert "points" not in vars(es)
+    assert len(es) == 3 and ("1/2", 0) in es
+    assert multiplicity(es) == (3, {"x": {Fraction(1, 2): 3}, "y": {1: 1, 3: 1, 0: 1}})
+    assert "points" not in vars(es)
+    assert es.points == (ExponentPair("1/2", 1), ExponentPair("1/2", 3), ExponentPair("1/2", 0))
+    assert es.points is es.points
+
+
+def test_loop_pairs_are_built_from_line_ids():
+    es = ExponentSet.from_json([["0", "0"], ["0", "1"], ["5", "7"], ["1", "1"], ["1", "0"]])
+    loop = find_zigzag_loop(es)
+    assert "points" not in vars(es)
+    assert loop.vertices == tuple(map(ExponentPair, "10011", "11001"))
+
+
+# ---------------------------------------------------------------------------
+# Value classes: what a frozen dataclass gave them, kept without one.
+# ---------------------------------------------------------------------------
+
+
+VALUES = [
+    (ExponentPair("1/2", -3), ("a", "b")),
+    (ZigzagPath(((0, 0), (0, 1), (2, 1))), ("vertices", "starts_with")),
+    (addspec.IntervalUnionMeasure.from_pieces([("-2", "-1", "1/2"), ("1", "2", "1/2")]), ("pieces",)),
+    (ExponentSet.of([("1/2", "-1/2"), (1, 2)]), ("points",)),
+    (ExponentSet.from_json([["1/2", "-1/2"], ["1", "2"]]), ("points",)),
+]
+
+
+@pytest.mark.parametrize("value, fields", VALUES, ids=lambda v: type(v).__name__)
+def test_value_class_contract(value, fields):
+    values = tuple(getattr(value, name) for name in fields)
+    assert hash(value) == hash(values)
+    assert value == type(value)(*values) and not value != type(value)(*values)
+    assert value != values
+    for again in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(again) is type(value) and again == value and hash(again) == hash(value)
+    for name in fields + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        delattr(value, fields[0])
+    assert tuple(getattr(value, name) for name in fields) == values
+
+
+def test_value_class_reprs():
+    a, b = Fraction(1), Fraction(2)
+    assert hash(ExponentPair(a, b)) == hash((a, b))
+    assert hash(ExponentPair(1, "2")) == hash((1, 2))
+    assert repr(ExponentPair("1/2", -3)) == "(1/2, -3)"
+    with pytest.raises(MalformedInputError) as err:
+        ZigzagPath(((1, 2), (3, 4)))
+    assert str(err.value) == "(1, 2) -> (3, 4) shares no coordinate"
+    assert repr(ZigzagPath(((0, 0), (0, 1)))) == "ZigzagPath(vertices=((0, 0), (0, 1)), starts_with='zag')"
+    assert repr(ExponentSet.from_json([["1/2", 0]])) == "ExponentSet(points=((1/2, 0),))"
+    assert repr(addspec.IntervalUnionMeasure.unit_interval(0)) == (
+        "IntervalUnionMeasure(pieces=((Fraction(0, 1), Fraction(1, 1), Fraction(1, 1)),))"
+    )
 
 
 @pytest.mark.parametrize(
