@@ -56,9 +56,6 @@ class ExponentPair(Frozen):
     def _values(self):
         return self.a, self.b
 
-    def __hash__(self):
-        return hash((self.a, self.b))
-
     def __repr__(self):
         return f"({self.a}, {self.b})"
 
