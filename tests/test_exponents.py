@@ -532,7 +532,10 @@ VALUES = [
 ]
 
 
-@pytest.mark.parametrize("value, fields", VALUES, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize(
+    "value, fields", VALUES,
+    ids=["ExponentPair", "ZigzagPath", "IntervalUnionMeasure", "ExponentSet.of", "ExponentSet.from_json"],
+)
 def test_value_class_contract(value, fields):
     values = tuple(getattr(value, name) for name in fields)
     assert hash(value) == hash(values)
