@@ -33,7 +33,8 @@ WEIGHT_TOL = 1e-12
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce ints, "p/q" strings, floats, and Fractions to an exact Fraction."""
-    if isinstance(value, Fraction):
+    # Fraction is an ABC, so isinstance on it is slow; a str skips the check
+    if type(value) is not str and isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
         try:

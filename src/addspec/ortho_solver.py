@@ -124,8 +124,7 @@ class OrthSolutionFamily:
         return n1 & (np.abs(l2 + m) <= radius)
 
 
-def integer_lattice_family() -> OrthSolutionFamily:
-    return OrthSolutionFamily(kind="integer-lattice", sign_coupled=False)
+INTEGER_LATTICE = OrthSolutionFamily(kind="integer-lattice")
 
 
 def classify_case(t, t_prime) -> Tuple:
@@ -152,7 +151,7 @@ def solve_families(t, t_prime) -> List[OrthSolutionFamily]:
     case = classify_case(t, t_prime)
     if case[0] == "L":
         return [
-            integer_lattice_family(),
+            INTEGER_LATTICE,
             OrthSolutionFamily(
                 kind="antidiagonal-half-integer",
                 offset=Fraction(1, 2),
@@ -162,7 +161,7 @@ def solve_families(t, t_prime) -> List[OrthSolutionFamily]:
         ]
     if case[0] == "symmetric":
         a = case[1]
-        fams = [integer_lattice_family()]
+        fams = [INTEGER_LATTICE]
         if a % 2 == 1:
             fams.append(
                 OrthSolutionFamily(
@@ -174,7 +173,7 @@ def solve_families(t, t_prime) -> List[OrthSolutionFamily]:
             )
         return fams
     if case[0] == "T":
-        return [integer_lattice_family()]
+        return [INTEGER_LATTICE]
     return []
 
 
@@ -224,12 +223,12 @@ def scan_residual(
     if families is None:
         families = solve_families(t, tp)
     (x0, x1), (y0, y1) = box
-    if not (x1 > x0 and y1 > y0):
-        raise MalformedInputError("degenerate scan box")
     # an infinite or NaN corner, or a width past the float range, leaves a
     # non-finite width
     if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
         raise MalformedInputError(f"scan box must be finite, got {box}")
+    if not (x1 > x0 and y1 > y0):
+        raise MalformedInputError("degenerate scan box")
     radius = EXCLUSION_RADIUS * (1 + 1e-9)
     l1s = x0 + (np.arange(grid) + 0.5) * (x1 - x0) / grid
     l2s = y0 + (np.arange(grid) + 0.5) * (y1 - y0) / grid

@@ -429,6 +429,8 @@ def test_cached_parser_leaks_nothing_between_calls(tmp_path):
          "window must be finite, got nan"),
         (["solve-oe", "--space", "L", "--scan", "--box=0,inf,0,1"],
          "scan box must be finite, got ((0.0, inf), (0.0, 1.0))"),
+        (["solve-oe", "--space", "L", "--scan", "--box=nan,1,0,1"],
+         "scan box must be finite, got ((nan, 1.0), (0.0, 1.0))"),
     ],
 )
 def test_non_finite_inputs_are_malformed(tmp_path, argv, message):
