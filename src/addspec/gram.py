@@ -16,7 +16,14 @@ mod 1 is the same for every point (a, b), as on integer lattices, lev sets,
 the L ONB and mirror spectra, the phases u = e^{2 pi i a c_x} make
 conj(u_p) G_pq u_q real, with exactly the eigenvalues of G.  The test is
 exact, on the integer grids of the assembly; other sections, such as a
-doubled non-overlap spectrum, keep the complex Hermitian eigen step.
+doubled non-overlap spectrum, stay complex Hermitian.
+
+Either way, a section that splits into two exactly orthonormal halves takes
+a half-size step: the matrix is [[I, C], [C^H, I]] after ordering, and its
+extremal eigenvalues are 1 -+ sigma_max(C).  The split is decided on the
+exact zeros of the matrix itself (``_halves``); it covers doubled
+non-overlap spectra on an integer base, lev sets with two points per line,
+and orthonormal sets, whose eigenvalues are then exactly 1.
 
 numpy is imported inside the functions that compute with it, so importing
 this module loads none.
@@ -97,6 +104,8 @@ class GramMatrix:
             out[:start, rows] = out[rows, :start].T
             square = out[rows, rows]
             square[...] = np.tril(square) + np.tril(square, -1).T
+        # G's own diagonal, exactly: |u_p|^2 G_pp may miss it by an ulp
+        np.fill_diagonal(out, self.entries.diagonal().real)
         return out
 
 
@@ -253,15 +262,106 @@ def identity_deviation(g: GramMatrix) -> float:
     return float(np.max(peaks))
 
 
-def extremal_eigenvalues(g: GramMatrix) -> Tuple[float, float]:
-    """Smallest and largest eigenvalue of the Hermitian section, taken
-    from its ``eigen_matrix``."""
+def _halves(e):
+    """Sides (a bool per point) that split the matrix ``e`` into two
+    orthonormal halves, or None.
+
+    The split holds when the diagonal is exactly 1 and every exactly nonzero
+    off-diagonal entry joins points of opposite sides: then, side False
+    first, e is exactly [[I, C], [C^H, I]], and so is every leading section
+    with the sides restricted to it.  A point joined to its first
+    neighbour's first neighbour closes a triangle, which rejects the matrix
+    at once, as on a dense section or on three lattice points of one line.
+    Otherwise the sides 2-colour the graph that joins each point to its
+    first and last neighbour, which is every join of a point with at most
+    two; every entry is then checked, so a colouring that misses a split
+    costs only the half-size step.
+    """
     import numpy as np
 
+    n = len(e)
+    if not np.all(e.diagonal() == 1):
+        return None
+    joined = e != 0
+    np.fill_diagonal(joined, False)
+    first = joined.argmax(axis=1)
+    src = np.flatnonzero(joined[np.arange(n), first])
+    second = first[first[src]]
+    if np.any(joined[src, second] & (second != src)):
+        return None
+    last = n - 1 - joined[:, ::-1].argmax(axis=1)
+    side = _two_colouring(n, np.concatenate((src, src)), np.concatenate((first[src], last[src])))
+    same = side[:, None] == side
+    same &= joined
+    return None if same.any() else side
+
+
+def _two_colouring(n: int, src, dst):
+    """Colours (bools) of n points that differ across each edge
+    (src[k], dst[k]) wherever the graph allows it.
+
+    Each round hooks every root below the smallest smaller root that an
+    edge of its tree reaches, at the parity that puts the edge's ends on
+    opposite sides, and then jumps every pointer to its root.  A root that
+    hooks below none is hooked onto by every tree next to it, so the trees
+    of a component at least halve each round, however long its paths are.
+    """
+    import numpy as np
+
+    # root[p] is p's root and side[p] p's colour relative to that root's
+    root = np.arange(n)
+    side = np.zeros(n, dtype=bool)
+    while True:
+        r_src, r_dst = root[src], root[dst]
+        cross = np.flatnonzero(r_src != r_dst)
+        if cross.size == 0:
+            return side
+        low = np.minimum(r_src, r_dst)[cross]
+        high = np.maximum(r_src, r_dst)[cross]
+        # the smallest target of each root, packed with its parity
+        hook = np.full(n, 2 * n)
+        np.minimum.at(hook, high, 2 * low + ~(side[src] ^ side[dst])[cross])
+        hooked = np.flatnonzero(hook < 2 * n)
+        root[hooked] = hook[hooked] >> 1
+        side[hooked] = hook[hooked] & 1
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            side ^= side[root]
+            root = up
+
+
+def _extremes(e, n: int, side) -> Tuple[float, float]:
+    """Smallest and largest eigenvalue of e[:n, :n].
+
+    With ``side`` from ``_halves`` they are exactly 1 -+ sigma_max(C): the
+    eigenvalues of [[I, C], [C^H, I]] are 1 +- sigma_i(C), and 1 for each
+    point one half has more than the other.  sigma_max^2 is the top
+    eigenvalue of C C^H on the smaller half.  Otherwise, ``eigvalsh``.
+    """
+    import numpy as np
+
+    if side is None:
+        w = np.linalg.eigvalsh(e[:n, :n])
+        return float(w[0]), float(w[-1])
+    a, b = np.flatnonzero(~side[:n]), np.flatnonzero(side[:n])
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 0:
+        return 1.0, 1.0
+    c = e[np.ix_(a, b)]
+    sigma = math.sqrt(max(np.linalg.eigvalsh(c @ c.conj().T)[-1], 0.0))
+    return 1 - sigma, 1 + sigma
+
+
+def extremal_eigenvalues(g: GramMatrix) -> Tuple[float, float]:
+    """Smallest and largest eigenvalue of the Hermitian section, taken
+    from its ``eigen_matrix`` by the eigen step of ``_extremes``."""
     if g.size == 0:
         raise MalformedInputError("empty Gram matrix")
-    w = np.linalg.eigvalsh(g.eigen_matrix())
-    return float(w[0]), float(w[-1])
+    e = g.eigen_matrix()
+    return _extremes(e, g.size, _halves(e))
 
 
 @dataclass(frozen=True)
@@ -324,6 +424,9 @@ def riesz_section_certificate(
     Every eigenvalue and eigenvector comes from the assembled matrix's
     ``eigen_matrix``: the real symmetric form of a phase-aligned section,
     whose eigenvector v is ``phases * v`` for G, or the Hermitian entries.
+    The largest section is split into orthonormal halves once (``_halves``),
+    when it can be, and every nested section takes the half-size step on the
+    split restricted to it; otherwise each takes the dense ``eigvalsh``.
     """
     import numpy as np
 
@@ -335,14 +438,15 @@ def riesz_section_certificate(
         raise MalformedInputError("section sizes must be ascending")
     full = assemble(s, pairs[: sizes[-1]])
     e = full.eigen_matrix()
+    side = _halves(e)
     mins: List[float] = []
     maxs: List[float] = []
     null_comb = None
     for n in sizes:
-        w = np.linalg.eigvalsh(e[:n, :n])
-        mins.append(float(w[0]))
-        maxs.append(float(w[-1]))
-        if null_comb is None and w[0] < DEGENERATE_TOL:
+        low, high = _extremes(e, n, side)
+        mins.append(low)
+        maxs.append(high)
+        if null_comb is None and low < DEGENERATE_TOL:
             loop = find_zigzag_loop(ExponentSet(pairs[:n]))
             if loop is not None:
                 null_comb = loop_alternation(loop)

@@ -9,9 +9,10 @@ the closed form
 
 with S(z) = sin(z)/z.  ``transform_rows`` evaluates it at the differences
 (x_i - x_j)/D of a grid of integers over a common denominator D, with every
-phase reduced mod 1 in integer arithmetic (``residues``) and centred before
-it is rounded (``turns``), so each value is a few ulps from exact however
-far the frequency or the support sits from 0.
+phase reduced mod 1 in integer arithmetic (``residues``) and folded to a
+quarter turn before it is rounded (``quarter_sine``), so each value is a few
+ulps from exact however far the frequency or the support sits from 0, and
+exactly 0 where the sine has a zero.
 
 ``Frozen`` gives this module's measure and ``exponents``' value classes
 what a frozen dataclass would, without importing ``dataclasses`` (which
@@ -171,22 +172,41 @@ def residues(nums, h: Fraction):
     return k if q >= INT64_SAFE else k.astype(np.int64, copy=False)
 
 
-def turns(k, q: int):
-    """Residues 0 <= k < q as k/q mod 1 in [-1/2, 1/2), centred before they
-    are rounded (correctly, past 2^53 too), so small turns keep their digits."""
+def quarter_sine(m, q: int):
+    """sin(pi (m - q) / (2q)) at each integer of the array ``m``, which it
+    overwrites.  The turn is folded in integers to j = q - |m mod 4q - 2q|
+    in [-q, q], a quarter turn at most, and then rounded (correctly, past
+    2^53 too), so half and whole turns give exactly 0 and small or
+    near-half turns keep their digits."""
     import numpy as np
 
-    k = np.asarray(k)
-    k = np.where(2 * k >= q, k - q, k)
-    # true division rounds correctly for Python ints of any size
-    return np.asarray((k if q <= 2**53 else k.astype(object)) / q, dtype=float)
+    np.remainder(m, 4 * q, out=m)
+    m -= 2 * q
+    np.abs(m, out=m)
+    np.subtract(q, m, out=m)
+    if 2 * q > 2**53:
+        # true division rounds correctly for Python ints of any size
+        x = np.asarray(m.astype(object) / (2 * q), dtype=float) * np.pi
+    else:
+        x = m * (np.pi / (2 * q))
+    return np.sin(x, out=x)
+
+
+def _times_four(k, q: int):
+    """4k for residues k mod q, as Python ints once 4q reaches 2^62."""
+    return 4 * (k.astype(object) if 4 * q >= INT64_SAFE else k)
 
 
 def unit_phase(nums, h: Fraction):
-    """exp(2 pi i x h) at each integer x of ``nums``, its turn reduced exactly."""
+    """exp(2 pi i x h) at each integer x of ``nums``: cosine and sine from
+    the exact residue of x h mod 1 (``quarter_sine``), so quarter turns give
+    exactly 0, +-1 and +-i."""
     import numpy as np
 
-    return np.exp(2j * np.pi * turns(residues(nums, h), h.denominator))
+    q = h.denominator
+    # cosine and sine side by side, so each row reads as one complex number
+    m = _times_four(residues(nums, h), q)[..., None] + np.array((2 * q, q))
+    return quarter_sine(m, q).view(complex)[..., 0]
 
 
 def transform_rows(m: IntervalUnionMeasure, grid, D: int, scale: float = 1.0):
@@ -197,8 +217,10 @@ def transform_rows(m: IntervalUnionMeasure, grid, D: int, scale: float = 1.0):
     Piece (l, r, w) gives  w u_i conj(u_j) sin(2 pi (k_i - k_j) / q) / z  with
     z = pi (x_i - x_j) (r - l) / D.  The phases u = e^{2 pi i x (l + r) / (2D)}
     and the residues k/q = x (r - l) / (2D) mod 1 are reduced once per point,
-    so a pair's sine turn is (k_i - k_j) mod q.  ``grid`` is an ndarray, of
-    Python ints once an entry, D or a product of the reductions reaches 2^62.
+    so a pair's sine is ``quarter_sine`` of 4 (k_i - k_j) + q: exactly 0 at a
+    half or whole turn, as at an odd or even integer difference on a piece
+    of unit length.  ``grid`` is an ndarray, of Python ints once an entry, D
+    or a product of the reductions reaches 2^62.
     """
     import numpy as np
 
@@ -207,17 +229,19 @@ def transform_rows(m: IntervalUnionMeasure, grid, D: int, scale: float = 1.0):
     pieces = []
     for l, r, w in m.pieces:
         h = (r - l) / (2 * D)
+        q = h.denominator
+        k4 = _times_four(residues(grid, h), q)
         u = unit_phase(grid, (l + r) / (2 * D))
-        pieces.append((scale * float(w), u, residues(grid, h), h.denominator, float(r - l)))
+        pieces.append((scale * float(w), u, k4 + q, k4, q, float(r - l)))
 
     def rows(sl, cols, out):
         # true division rounds correctly for Python ints of any size
         x = np.asarray((grid[sl, None] - grid[cols]) / D, dtype=float)
         out[...] = 0
-        for w, u, k, q, width in pieces:
+        for w, u, k4_up, k4, q, width in pieces:
             term = np.multiply.outer(u[sl], w * u[cols].conj())
             z = np.pi * (x * width)
-            sine = np.sin(2 * np.pi * turns((k[sl, None] - k[cols]) % q, q))
+            sine = quarter_sine(np.subtract.outer(k4_up[sl], k4[cols]), q)
             # exactly 1 below |z| = 1e-8, where z may also be subnormal
             term *= np.divide(sine, z, out=np.ones_like(z), where=np.abs(z) >= 1e-8)
             out += term

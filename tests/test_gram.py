@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -592,6 +593,119 @@ def test_loop_free_null_combination_norm_is_lambda_min(step, eigh_calls):
     assert abs(v1 / v0 + 1) > 1e-3
     conj = FiniteCombination(tuple((p, c.conjugate()) for p, c in cert.null_combination.terms))
     assert combination_norm_sq(s, conj) > 1e-7
+
+
+# ---------------------------------------------------------------------------
+# The half-size eigen step of sections that split into two orthonormal halves.
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _counted_eigvalsh():
+    """np.linalg.eigvalsh counting the sizes of the matrices it is given; a
+    context manager, as hypothesis tests take no function-scoped fixture."""
+    sizes, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    np.linalg.eigvalsh = counted
+    try:
+        yield sizes
+    finally:
+        np.linalg.eigvalsh = eigvalsh
+
+
+def _assert_matches_dense(e, sizes, cert):
+    for n, low, high in zip(sizes, cert.lambda_min, cert.lambda_max):
+        w = np.linalg.eigvalsh(e[:n, :n])
+        assert abs(low - w[0]) <= 1e-13 * max(1.0, abs(w[0]))
+        assert abs(high - w[-1]) <= 1e-13 * max(1.0, abs(w[-1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base=st.sets(st.integers(-60, 60), min_size=1, max_size=24),
+    t=st.fractions(min_value=Fraction(1, 9), max_value=4, max_denominator=9),
+    negative=st.booleans(),
+    data=st.data(),
+)
+def test_doubled_spectra_take_the_half_size_step(base, t, negative, data):
+    # {(l, l)} u {(l, l + tau)} on an integer base: each half is exactly
+    # orthonormal on a unit interval, whatever t and tau are
+    s = symmetric_space(-1 - t if negative else t)
+    pairs = data.draw(st.permutations(nonoverlap_riesz_spectrum(s.mu, sorted(base)).pairs.points))
+    sizes = sorted(data.draw(st.sets(st.integers(1, len(pairs)), min_size=1, max_size=4)))
+    e = assemble(s, pairs).eigen_matrix()
+    assert gram._halves(e) is not None
+    with _counted_eigvalsh() as calls:
+        cert = riesz_section_certificate(s, pairs, sizes)
+    # only C C^H on the smaller half, never the dense section
+    assert all(c <= sizes[-1] // 2 for c in calls)
+    _assert_matches_dense(e, sizes, cert)
+
+
+def test_orthonormal_sets_have_eigenvalues_exactly_one():
+    for space, pairs in (("L", l_space_onb(40).points), ("Symmetric:t=1", mirror_spectrum(1, 40).points)):
+        g = assemble(space_from_name(space), pairs)
+        assert identity_deviation(g) == 0.0
+        with _counted_eigvalsh() as calls:
+            assert extremal_eigenvalues(g) == (1.0, 1.0)
+        assert calls == []
+
+
+def test_generic_phases_keep_the_diagonal_exactly_one():
+    # (l, l) on [t, t + 1] is aligned and orthonormal; the phases
+    # e^{2 pi i l (t + 1/2)} are generic, and some miss |u|^2 = 1 by an ulp
+    g = assemble(symmetric_space(Fraction(1, 1000003)), [ExponentPair(l, l) for l in range(-20, 21)])
+    assert np.any(np.abs(g.phases) ** 2 != 1)
+    e = g.eigen_matrix()
+    assert np.all(e.diagonal() == 1.0)
+    assert gram._halves(e) is not None
+    assert extremal_eigenvalues(g) == (1.0, 1.0)
+
+
+def test_shuffled_lev_path_takes_the_half_size_step():
+    # lines of at most two points: the joins form long paths, whose
+    # colouring takes a few rounds of pointer jumping
+    pairs = list(lev_style_set(2, 60).points)
+    np.random.default_rng(2).shuffle(pairs)
+    sizes = [31, 62]
+    e = assemble(l_space(), pairs).eigen_matrix()
+    assert gram._halves(e) is not None
+    with _counted_eigvalsh() as calls:
+        cert = riesz_section_certificate(l_space(), pairs, sizes)
+    assert all(c <= 31 for c in calls)
+    _assert_matches_dense(e, sizes, cert)
+
+
+@pytest.mark.parametrize("space, pairs", [
+    ("L", [ExponentPair(0, 0), ExponentPair(0, 1), ExponentPair(0, 2), ExponentPair(5, 7)]),
+    ("T", lev_style_set(3, 40).points),
+    ("Symmetric:t=1/3", [ExponentPair(Fraction(j, 3), Fraction(-j, 5)) for j in range(12)]),
+], ids=["three_on_a_line", "lev_q3", "dense_unaligned"])
+def test_non_bipartite_sections_keep_the_dense_step(space, pairs):
+    s = space_from_name(space)
+    e = assemble(s, pairs).eigen_matrix()
+    assert gram._halves(e) is None
+    with _counted_eigvalsh() as calls:
+        cert = riesz_section_certificate(s, pairs, [len(pairs)])
+    assert calls == [len(pairs)]
+    _assert_matches_dense(e, [len(pairs)], cert)
+
+
+def test_rectangle_splits_and_keeps_the_loop_alternation(eigh_calls):
+    # the L-space rectangle is a 4-cycle of joins, so bipartite; its section
+    # is singular, and the null combination is still the exact alternation
+    pairs = _rectangle(0, 0)
+    e = assemble(l_space(), pairs).eigen_matrix()
+    assert gram._halves(e) is not None
+    cert = riesz_section_certificate(l_space(), pairs, [3, 4])
+    assert cert.lambda_min[0] == pytest.approx(1 - 0.5**0.5, abs=1e-15)
+    assert abs(cert.lambda_min[1]) < 1e-15 and cert.lambda_max[1] == pytest.approx(2, abs=1e-15)
+    assert cert.verdict == "degenerate" and eigh_calls == []
+    assert [c for _, c in cert.null_combination.terms] == [0.5, -0.5, 0.5, -0.5]
 
 
 # ---------------------------------------------------------------------------

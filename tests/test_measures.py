@@ -2,6 +2,8 @@ import math
 import re
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from scipy.integrate import quad
 
 from addspec import IntervalUnionMeasure, fourier_transform, support_bounds
 from addspec.errors import MalformedInputError
-from addspec.measures import as_fraction
+from addspec.measures import as_fraction, transform_rows
 
 
 def quad_transform(m, lam):
@@ -104,6 +106,29 @@ def test_exact_frequency_phase_far_from_origin(k):
         assert abs(fourier_transform(m, Fraction(n, 2)) - want) < 1e-15
         assert fourier_transform(m, n / 2) == fourier_transform(m, Fraction(n, 2))
     assert abs(fourier_transform(m, 7)) < 1e-15
+
+
+@pytest.mark.parametrize("t", [0, Fraction(-1, 2), Fraction(1, 3), -1, 10**9])
+def test_integer_frequencies_on_unit_pieces_vanish_exactly(t):
+    # the sine's turn is a half (odd) or a whole (even) turn, folded exactly
+    m = IntervalUnionMeasure.unit_interval(t)
+    for k in (1, -1, 3, -7, 2, -4, 10**12 + 1):
+        assert fourier_transform(m, k) == 0
+    rows = transform_rows(m, np.arange(-6, 7), 1)
+    block = rows(slice(None), slice(None), np.empty((13, 13), dtype=complex))
+    assert np.array_equal(block, np.eye(13))
+
+
+@pytest.mark.parametrize("k", [1, -3, 10**6 + 1])
+def test_near_half_turns_keep_their_digits(k):
+    # sin(pi lam) at lam = k + 1e-12 is -+pi 1e-12 to full relative precision
+    m = IntervalUnionMeasure.unit_interval(0)
+    lam = k + Fraction(1, 10**12)
+    with mpmath.workdps(40):
+        z = mpmath.pi * mpmath.mpf(lam.numerator) / lam.denominator
+        want = complex(mpmath.exp(1j * z) * mpmath.sin(z) / z)
+    got = fourier_transform(m, lam)
+    assert abs(got - want) <= 4e-16 * abs(want)
 
 
 def test_rejects_non_finite_frequency(unit_measure):
