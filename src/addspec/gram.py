@@ -15,8 +15,10 @@ ft(m, lam) is e^{2 pi i lam c} times a real number; when 2 (b c_y - a c_x)
 mod 1 is the same for every point (a, b), as on integer lattices, lev sets,
 the L ONB and mirror spectra, the phases u = e^{2 pi i a c_x} make
 conj(u_p) G_pq u_q real, with exactly the eigenvalues of G.  The test is
-exact, on the integer grids of the assembly; other sections, such as a
-doubled non-overlap spectrum, stay complex Hermitian.
+exact, on the integer grids of the assembly, and comes first: ``assemble``
+then builds that real symmetric matrix in place of G, one float64 n x n
+array.  Other sections, such as a doubled non-overlap spectrum, stay
+complex Hermitian.
 
 Either way, a section that splits into two exactly orthonormal halves takes
 a half-size step: the matrix is [[I, C], [C^H, I]] after ordering, and its
@@ -71,7 +73,10 @@ class GramMatrix:
 
     ``phases`` is a unit vector u, set by ``assemble`` when the exact test of
     ``_aligned_phases`` shows that  conj(u_p) G_pq u_q  is real: a diagonal
-    unitary similarity, so that real symmetric matrix has the eigenvalues of G.
+    unitary similarity, so that real symmetric matrix has the eigenvalues of
+    G.  ``entries`` is then that float64 matrix, not G, and an eigenvector v
+    of it is u * v for G; otherwise ``entries`` is G itself, complex.
+    Either way it is the matrix the eigen step factorizes.
     """
 
     pairs: Tuple[ExponentPair, ...]
@@ -81,32 +86,6 @@ class GramMatrix:
     @property
     def size(self) -> int:
         return len(self.pairs)
-
-    def eigen_matrix(self) -> np.ndarray:
-        """The matrix the eigen step factorizes: ``entries``, or with phases
-        the real symmetric  Re(conj(u_p) u_q G_pq).  That is built ROW_BLOCK
-        rows at a time, its lower triangle mirrored above, so it is exactly
-        symmetric; its leading n x n block is the real form of the leading
-        n x n section.  An eigenvector v of it is u * v for ``entries``."""
-        import numpy as np
-
-        u = self.phases
-        if u is None:
-            return self.entries
-        n = self.size
-        out = np.empty((n, n))
-        for start in range(0, n, ROW_BLOCK):
-            stop = min(start + ROW_BLOCK, n)
-            rows = slice(start, stop)
-            block = np.multiply.outer(u[rows].conj(), u[:stop])
-            block *= self.entries[rows, :stop]
-            out[rows, :stop] = block.real
-            out[:start, rows] = out[rows, :start].T
-            square = out[rows, rows]
-            square[...] = np.tril(square) + np.tril(square, -1).T
-        # G's own diagonal, exactly: |u_p|^2 G_pp may miss it by an ulp
-        np.fill_diagonal(out, self.entries.diagonal().real)
-        return out
 
 
 def _half_rows(m: IntervalUnionMeasure, coords: Sequence[Fraction]):
@@ -151,21 +130,22 @@ def _axes(s: AdditiveSpace, pairs: Sequence[ExponentPair]):
 
 
 def _row_blocks(x, y, g=None):
-    """Yield (rows, block, upper), ROW_BLOCK Gram rows at a time, in place in g
-    if given: whole rows, or (upper) from the diagonal on when an axis has
-    no table, for the caller to mirror.  Without g, whole rows in a buffer."""
+    """Yield (rows, block, upper), ROW_BLOCK Gram rows at a time: whole rows,
+    in place in g if given, or (upper) when g is real or an axis has no
+    table, the rows from the diagonal on, for the caller to mirror.  Without
+    g, whole rows in a buffer."""
     import numpy as np
 
     (grid, _, x_rows, x_table), (_, _, y_rows, y_table) = x, y
     n = len(grid)
-    upper = g is not None and not (x_table and y_table)
+    upper = g is not None and not (x_table and y_table and g.dtype == complex)
     buf = np.empty((2, ROW_BLOCK * n), dtype=complex)
     for start in range(0, n, ROW_BLOCK):
         rows = slice(start, min(start + ROW_BLOCK, n))
         cols = slice(start if upper else 0, n)
         shape = (rows.stop - start, n - cols.start)
         x_out, y_out = buf[:, : shape[0] * shape[1]].reshape((2,) + shape)
-        block = x_rows(rows, cols, x_out if g is None else g[rows, cols])
+        block = x_rows(rows, cols, x_out if g is None or upper else g[rows, cols])
         block += y_rows(rows, cols, y_out)
         yield rows, block, upper
 
@@ -210,11 +190,14 @@ def assemble(s: AdditiveSpace, pairs: Sequence[ExponentPair]) -> GramMatrix:
 
     Each axis takes the transform at exact coordinate differences
     (``_half_rows``).  Rows gathered from tables are exactly Hermitian as
-    they stand; otherwise the upper triangle is mirrored by conjugation.  An axis on which two points agree adds
-    exactly ft(m, 0)/2 = 1/2, so the diagonal is exactly 1.  Entries are a
-    few ulps from exact however far the points or supports sit from 0.
-    Duplicates are found on the exact integer grids, and so is the phase
-    alignment that sets ``phases`` (``_aligned_phases``).
+    they stand.  Otherwise, and on every aligned section, only the upper
+    triangle is computed: its conjugate transpose is stored below, turned by
+    the phases into the real form Re(conj(u_p) u_q G_pq) of an aligned
+    section (``_aligned_phases``), and mirrored above.  An axis on which two
+    points agree adds exactly ft(m, 0)/2 = 1/2, so the diagonal is exactly
+    1; the real form's is set to 1, which |u_p|^2 may miss by an ulp.
+    Entries are a few ulps from exact however far the points or supports
+    sit from 0.  Duplicates and the alignment are found on the exact grids.
     """
     import numpy as np
 
@@ -225,15 +208,23 @@ def assemble(s: AdditiveSpace, pairs: Sequence[ExponentPair]) -> GramMatrix:
     if n > MATRIX_CAP:
         raise MalformedInputError(f"section size {n} exceeds cap {MATRIX_CAP}")
     x, y = _axes(s, pairs)
-    g = np.empty((n, n), dtype=complex)
+    u = _aligned_phases(s, x, y)
+    g = np.empty((n, n), dtype=complex if u is None else float)
     for rows, block, upper in _row_blocks(x, y, g):
         if upper:
             start, stop = rows.start, rows.stop
-            g[stop:, rows] = block[:, stop - start :].conj().T
+            # the block is G[rows, start:], so its conjugate transpose is G[start:, rows]
+            lower = block.conj().T
+            if u is not None:
+                lower = (np.multiply.outer(u[start:].conj(), u[rows]) * lower).real
+            g[start:, rows] = lower
+            g[rows, stop:] = g[stop:, rows].conj().T
             square = g[rows, rows]
-            square[...] = np.triu(square) + np.triu(square, 1).conj().T
+            square[...] = np.tril(square) + np.tril(square, -1).conj().T
+    if u is not None:
+        np.fill_diagonal(g, 1.0)
     g.flags.writeable = False
-    return GramMatrix(pairs, g, _aligned_phases(s, x, y))
+    return GramMatrix(pairs, g, u)
 
 
 def combination_norm_sq(s: AdditiveSpace, c: FiniteCombination) -> float:
@@ -357,11 +348,10 @@ def _extremes(e, n: int, side) -> Tuple[float, float]:
 
 def extremal_eigenvalues(g: GramMatrix) -> Tuple[float, float]:
     """Smallest and largest eigenvalue of the Hermitian section, taken
-    from its ``eigen_matrix`` by the eigen step of ``_extremes``."""
+    from its ``entries`` by the eigen step of ``_extremes``."""
     if g.size == 0:
         raise MalformedInputError("empty Gram matrix")
-    e = g.eigen_matrix()
-    return _extremes(e, g.size, _halves(e))
+    return _extremes(g.entries, g.size, _halves(g.entries))
 
 
 @dataclass(frozen=True)
@@ -421,9 +411,9 @@ def riesz_section_certificate(
     conjugate of the unit eigenvector of its smallest eigenvalue from
     ``np.linalg.eigh``: the coefficients c with  ||sum c_p e_p||^2 = lambda.
 
-    Every eigenvalue and eigenvector comes from the assembled matrix's
-    ``eigen_matrix``: the real symmetric form of a phase-aligned section,
-    whose eigenvector v is ``phases * v`` for G, or the Hermitian entries.
+    Every eigenvalue and eigenvector comes from the assembled ``entries``:
+    the real symmetric form of a phase-aligned section, whose eigenvector v
+    is ``phases * v`` for G, or the Hermitian G itself.
     The largest section is split into orthonormal halves once (``_halves``),
     when it can be, and every nested section takes the half-size step on the
     split restricted to it; otherwise each takes the dense ``eigvalsh``.
@@ -437,7 +427,7 @@ def riesz_section_certificate(
     if list(sizes) != sorted(sizes):
         raise MalformedInputError("section sizes must be ascending")
     full = assemble(s, pairs[: sizes[-1]])
-    e = full.eigen_matrix()
+    e = full.entries
     side = _halves(e)
     mins: List[float] = []
     maxs: List[float] = []

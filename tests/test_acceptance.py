@@ -238,9 +238,11 @@ def test_criterion_10_property_suites():
             es = _random_set(rng, 10, 3)
             g = assemble(space, es.points)
             assert np.max(np.abs(g.entries - g.entries.conj().T)) < 1e-12
+            # an aligned section holds the real form conj(u_i) u_j G_ij
+            u = np.ones(g.size) if g.phases is None else g.phases
             for i in range(g.size):
                 for j in range(g.size):
-                    direct = exp_inner(space, es.points[i], es.points[j])
+                    direct = u[i].conjugate() * u[j] * exp_inner(space, es.points[i], es.points[j])
                     assert abs(g.entries[i, j] - direct) < 1e-12
 
         # multiplicity one <=> no zigzag moves, on 10^3 random sets

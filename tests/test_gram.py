@@ -136,11 +136,29 @@ spaces = st.one_of(
 )
 
 
+def kernel_rows(s, pairs):
+    """G's complex rows as the kernel computes them (``gram._row_blocks``)."""
+    return np.concatenate([block.copy() for _, block, _ in gram._row_blocks(*gram._axes(s, pairs))])
+
+
+def complex_gram(s, pairs):
+    """G: the assembled ``entries``, or on a phase-aligned section, whose
+    ``entries`` hold the real form, the kernel rows, once ``entries`` is
+    checked to be their rotation  Re(conj(u_p) u_q G_pq)."""
+    g = assemble(s, pairs)
+    if g.phases is None:
+        return g.entries
+    kernel = kernel_rows(s, pairs)
+    rotated = g.phases.conj()[:, None] * kernel * g.phases
+    assert np.max(np.abs(g.entries - rotated.real)) <= 4 * np.finfo(float).eps
+    return kernel
+
+
 def assert_matches_reference(s, pairs, tol=1e-14):
     """Against exp_inner entry by entry and, as both run the kernel
     ``measures.transform_rows``, against the 40-digit ``mp_transform`` on
     the first 12 rows."""
-    g = assemble(s, pairs).entries
+    g = complex_gram(s, pairs)
     ref = np.array([[exp_inner(s, p, q) for q in pairs] for p in pairs])
     assert np.max(np.abs(g - ref)) < tol
     assert_near_mpmath(s, pairs, tol, rows=12)
@@ -225,9 +243,9 @@ def mp_transform(m, lam):
 
 
 def assert_near_mpmath(s, pairs, tol=4.4e-16, rows=None):
-    """The assembled section, or its first ``rows`` rows, within ``tol`` of
-    the closed form at 40 digits."""
-    g = assemble(s, pairs).entries
+    """The section's G (``complex_gram``), or its first ``rows`` rows,
+    within ``tol`` of the closed form at 40 digits."""
+    g = complex_gram(s, pairs)
     halves = {}
 
     def half(m, lam):
@@ -321,7 +339,7 @@ def test_identity_deviation_equals_whole_matrix_maximum(n):
         g = assemble(s, pairs)
         assert identity_deviation(g) == float(np.max(np.abs(g.entries - np.eye(n))))
     # the largest deviation on the diagonal, and a NaN entry, are both kept
-    entries = g.entries.copy()
+    entries = g.entries.astype(complex)
     entries[n - 1, n - 1] = 3 - 1j
     g = GramMatrix(g.pairs, entries)
     assert identity_deviation(g) == float(np.max(np.abs(entries - np.eye(n)))) == abs(2 - 1j)
@@ -347,7 +365,7 @@ def test_shared_coordinate_contributes_exactly_one_half(s, xs, ys):
     # so G[(a, b), (a, b')] is the same number for every a, and likewise by rows
     xs, ys = sorted(xs), sorted(ys)
     pairs = [ExponentPair(a, b) for a in xs for b in ys]
-    g = assemble(s, pairs).entries.reshape(3, 3, 3, 3)
+    g = complex_gram(s, pairs).reshape(3, 3, 3, 3)
     for i in range(3):
         assert np.array_equal(g[i, :, i, :], g[0, :, 0, :])
         assert np.array_equal(g[:, i, :, i], g[:, 0, :, 0])
@@ -545,15 +563,17 @@ UNALIGNED = {
 
 @pytest.mark.parametrize("space, pairs", ALIGNED.values(), ids=ALIGNED.keys())
 def test_aligned_sections_take_the_real_eigen_step(space, pairs):
-    g = assemble(space_from_name(space), pairs)
+    s = space_from_name(space)
+    g = assemble(s, pairs)
     u = g.phases
     assert u is not None
-    rotated = u.conj()[:, None] * g.entries * u
+    kernel = kernel_rows(s, pairs)
+    rotated = u.conj()[:, None] * kernel * u
     assert np.max(np.abs(rotated.imag)) <= 4 * np.finfo(float).eps
-    r = g.eigen_matrix()
+    r = g.entries
     assert r.dtype == np.float64 and np.array_equal(r, r.T)
     assert np.max(np.abs(r - rotated.real)) <= 4 * np.finfo(float).eps
-    want = np.linalg.eigvalsh(g.entries)
+    want = np.linalg.eigvalsh(kernel)
     for w, got in zip((want[0], want[-1]), extremal_eigenvalues(g)):
         assert abs(got - w) <= 1e-13 * max(1.0, abs(w))
 
@@ -561,8 +581,25 @@ def test_aligned_sections_take_the_real_eigen_step(space, pairs):
 @pytest.mark.parametrize("space, pairs", UNALIGNED.values(), ids=UNALIGNED.keys())
 def test_unaligned_sections_keep_the_complex_eigen_step(space, pairs):
     g = assemble(space, pairs)
-    assert g.phases is None
-    assert g.eigen_matrix() is g.entries
+    assert g.phases is None and g.entries.dtype == np.complex128
+
+
+def test_aligned_sections_are_assembled_as_one_real_matrix():
+    # the float64 real form is the only n x n array: a complex G beside it
+    # would add 16 n^2 bytes to the peak
+    s, pairs = l_space(), l_space_onb(511).points  # n = 1023
+    n = len(pairs)
+    assemble(s, pairs)  # warm-up
+    tracemalloc.start()
+    try:
+        g = assemble(s, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.entries.dtype == np.float64
+    assert peak < 1.5 * 8 * n**2
+    space, doubled = UNALIGNED["nonoverlap_doubled"]
+    assert assemble(space, doubled).entries.dtype == np.complex128
 
 
 def test_symmetric_two_piece_measure_is_aligned():
@@ -637,7 +674,7 @@ def test_doubled_spectra_take_the_half_size_step(base, t, negative, data):
     s = symmetric_space(-1 - t if negative else t)
     pairs = data.draw(st.permutations(nonoverlap_riesz_spectrum(s.mu, sorted(base)).pairs.points))
     sizes = sorted(data.draw(st.sets(st.integers(1, len(pairs)), min_size=1, max_size=4)))
-    e = assemble(s, pairs).eigen_matrix()
+    e = assemble(s, pairs).entries
     assert gram._halves(e) is not None
     with _counted_eigvalsh() as calls:
         cert = riesz_section_certificate(s, pairs, sizes)
@@ -660,7 +697,7 @@ def test_generic_phases_keep_the_diagonal_exactly_one():
     # e^{2 pi i l (t + 1/2)} are generic, and some miss |u|^2 = 1 by an ulp
     g = assemble(symmetric_space(Fraction(1, 1000003)), [ExponentPair(l, l) for l in range(-20, 21)])
     assert np.any(np.abs(g.phases) ** 2 != 1)
-    e = g.eigen_matrix()
+    e = g.entries
     assert np.all(e.diagonal() == 1.0)
     assert gram._halves(e) is not None
     assert extremal_eigenvalues(g) == (1.0, 1.0)
@@ -672,7 +709,7 @@ def test_shuffled_lev_path_takes_the_half_size_step():
     pairs = list(lev_style_set(2, 60).points)
     np.random.default_rng(2).shuffle(pairs)
     sizes = [31, 62]
-    e = assemble(l_space(), pairs).eigen_matrix()
+    e = assemble(l_space(), pairs).entries
     assert gram._halves(e) is not None
     with _counted_eigvalsh() as calls:
         cert = riesz_section_certificate(l_space(), pairs, sizes)
@@ -687,7 +724,7 @@ def test_shuffled_lev_path_takes_the_half_size_step():
 ], ids=["three_on_a_line", "lev_q3", "dense_unaligned"])
 def test_non_bipartite_sections_keep_the_dense_step(space, pairs):
     s = space_from_name(space)
-    e = assemble(s, pairs).eigen_matrix()
+    e = assemble(s, pairs).entries
     assert gram._halves(e) is None
     with _counted_eigvalsh() as calls:
         cert = riesz_section_certificate(s, pairs, [len(pairs)])
@@ -699,7 +736,7 @@ def test_rectangle_splits_and_keeps_the_loop_alternation(eigh_calls):
     # the L-space rectangle is a 4-cycle of joins, so bipartite; its section
     # is singular, and the null combination is still the exact alternation
     pairs = _rectangle(0, 0)
-    e = assemble(l_space(), pairs).eigen_matrix()
+    e = assemble(l_space(), pairs).entries
     assert gram._halves(e) is not None
     cert = riesz_section_certificate(l_space(), pairs, [3, 4])
     assert cert.lambda_min[0] == pytest.approx(1 - 0.5**0.5, abs=1e-15)
