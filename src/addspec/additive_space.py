@@ -24,15 +24,14 @@ loads none.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .errors import MalformedInputError
 from .exponents import ExponentPair
-from .measures import IntervalUnionMeasure, as_fraction, fourier_transform, unit_phase
+from .measures import IntervalUnionMeasure, as_fraction, exact_grid, fourier_transform, unit_phase
 
 
 @dataclass(frozen=True)
@@ -187,12 +186,6 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def integer_grid(fracs: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """Fractions as integer numerators over their least common denominator D."""
-    D = math.lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (D // f.denominator) for f in fracs], D
-
-
 def _moment_series(omega, degree: int):
     """J_k(omega) for k = 0..degree by the power series of e^{i omega t}.
 
@@ -256,16 +249,13 @@ def _shifted(coeffs, mid: float, half: float):
     return out
 
 
-def measure_integral(
-    m: IntervalUnionMeasure, fn: PiecewisePolynomial, freq=0.0, denominator: int = 1
-):
+def measure_integral(m: IntervalUnionMeasure, fn: PiecewisePolynomial, freq=0.0):
     """Exact-moment evaluation of  integral of fn(x) e^{2 pi i f x} dm(x).
 
     ``freq`` is a scalar (a complex is returned) or an array or list of
-    frequencies (an array of the same shape is returned); ints, Fractions and
-    floats are taken at their exact value, and every frequency is divided by
-    ``denominator``, so a line of rational frequencies can be given as
-    integer numerators over one denominator.
+    frequencies (an array of the same shape is returned); ints, Fractions,
+    "p/q" strings and floats are taken at their exact value, as integer
+    numerators over one denominator D (``measures.exact_grid``).
 
     On each overlap [lo, hi] of a measure piece and a function piece,
     x = mid + half t turns the integral into
@@ -277,19 +267,12 @@ def measure_integral(
     """
     import numpy as np
 
-    freqs = np.asarray(freq)
-    if freqs.dtype.kind == "f" and not isinstance(freq, np.ndarray):
-        # numpy rounds a list mixing negatives and ints past 2^63 to float64;
-        # an object array keeps every entry as given
-        freqs = np.array(freq, dtype=object)
-    values = freqs.ravel().tolist()
-    if all(type(v) is int for v in values):
-        nums, D = values, denominator
-    else:
-        # floats are taken at their exact binary value
-        nums, D = integer_grid([as_fraction(v) for v in values])
-        D *= denominator
-    f = np.array([x / D for x in nums], dtype=float)
+    # an object array keeps every entry as given, where numpy would round a
+    # list mixing negatives and ints past 2^63 to float64
+    freqs = np.asarray(freq, dtype=object)
+    nums, D = exact_grid(freqs.ravel().tolist())
+    # true division rounds correctly for Python ints of any size
+    f = np.array([x / D for x in nums.tolist()], dtype=float)
     total = np.zeros(f.shape, dtype=complex)
     for ml, mr, w in m.pieces:
         for fl, fr, coeffs in fn.pieces:

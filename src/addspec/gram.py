@@ -45,15 +45,13 @@ from .additive_space import (
     PiecewisePolynomial,
     exp_inner,  # unused here; perfbench/tracing.py counts calls through addspec.gram.exp_inner
     frame_coefficients,
-    integer_grid,
     pair_norm_sq,
     plus_space,
     support_intervals,
 )
-from . import additive_space
 from .errors import MalformedInputError
 from .exponents import ExponentSet, ZigzagPath, find_zigzag_loop
-from .measures import INT64_SAFE, IntervalUnionMeasure, as_fraction, residues
+from .measures import INT64_SAFE, IntervalUnionMeasure, as_fraction, exact_grid, residues
 from .measures import transform_rows, unit_phase
 
 MATRIX_CAP = 4096
@@ -89,24 +87,18 @@ class GramMatrix:
 
 
 def _half_rows(m: IntervalUnionMeasure, coords: Sequence[Fraction]):
-    """One axis: its grid and denominator D, ``rows(rows, cols, out)``
-    writing ft(m, c_i - c_j)/2, and whether the rows come from a table (and
-    so are exactly Hermitian).
+    """One axis: its ``exact_grid`` and denominator D, and
+    ``rows(rows, cols, out)`` writing ft(m, c_i - c_j)/2.
 
-    The grid holds the numerators over the common denominator D, as Python
-    ints once one or D reaches 2^62.  A span small next to n^2 gets a table of
-    ``transform_rows`` over it against 0, extended by ft(-d) = conj ft(d).
-    Otherwise (a huge gap, say) the rows are ``transform_rows`` on the grid
-    itself, its phases and residues reduced once per point, so a pair needs
-    no Python int.
+    A span small next to n^2 gets a table of ``transform_rows`` over it
+    against 0, extended by ft(-d) = conj ft(d), so its rows are exactly
+    Hermitian.  Otherwise (a huge gap, say) the rows are ``transform_rows``
+    on the grid itself, its phases and residues reduced once per point, so a
+    pair needs no Python int.
     """
     import numpy as np
 
-    nums, D = integer_grid(coords)
-    top = max(abs(x) for x in nums)
-    if 2 * top > D * int(np.finfo(float).max):
-        raise MalformedInputError("exponent coordinates exceed the float range")
-    grid = np.array(nums, dtype=np.int64 if max(top, D) < INT64_SAFE else object)
+    grid, D = exact_grid(coords)
     low = grid.min()
     span = int(grid.max() - low)
     if 2 * span + 1 <= len(grid) ** 2 / 4:
@@ -116,8 +108,8 @@ def _half_rows(m: IntervalUnionMeasure, coords: Sequence[Fraction]):
         at = np.asarray(grid - low, dtype=np.int64)
         return grid, D, lambda sl, cols, out: np.take(
             table, at[sl, None] - (at[cols] - span), out=out, mode="clip"
-        ), True
-    return grid, D, transform_rows(m, grid, D, 0.5), False
+        )
+    return grid, D, transform_rows(m, grid, D, 0.5)
 
 
 def _axes(s: AdditiveSpace, pairs: Sequence[ExponentPair]):
@@ -129,25 +121,23 @@ def _axes(s: AdditiveSpace, pairs: Sequence[ExponentPair]):
     return x, y
 
 
-def _row_blocks(x, y, g=None):
-    """Yield (rows, block, upper), ROW_BLOCK Gram rows at a time: whole rows,
-    in place in g if given, or (upper) when g is real or an axis has no
-    table, the rows from the diagonal on, for the caller to mirror.  Without
-    g, whole rows in a buffer."""
+def _row_blocks(x, y, upper=False):
+    """Yield (rows, block), ROW_BLOCK Gram rows at a time, each block in its
+    own buffer: whole rows, or (upper) the rows from the diagonal on, for
+    the caller to mirror."""
     import numpy as np
 
-    (grid, _, x_rows, x_table), (_, _, y_rows, y_table) = x, y
+    (grid, _, x_rows), (_, _, y_rows) = x, y
     n = len(grid)
-    upper = g is not None and not (x_table and y_table and g.dtype == complex)
     buf = np.empty((2, ROW_BLOCK * n), dtype=complex)
     for start in range(0, n, ROW_BLOCK):
         rows = slice(start, min(start + ROW_BLOCK, n))
         cols = slice(start if upper else 0, n)
         shape = (rows.stop - start, n - cols.start)
         x_out, y_out = buf[:, : shape[0] * shape[1]].reshape((2,) + shape)
-        block = x_rows(rows, cols, x_out if g is None or upper else g[rows, cols])
+        block = x_rows(rows, cols, x_out)
         block += y_rows(rows, cols, y_out)
-        yield rows, block, upper
+        yield rows, block
 
 
 def _centre(m: IntervalUnionMeasure) -> Optional[Fraction]:
@@ -171,7 +161,7 @@ def _aligned_phases(s: AdditiveSpace, x, y):
     """
     import numpy as np
 
-    (grid_x, D_x, _, _), (grid_y, D_y, _, _) = x, y
+    (grid_x, D_x, _), (grid_y, D_y, _) = x, y
     c_x, c_y = _centre(s.mu), _centre(s.nu)
     if c_x is None or c_y is None:
         return None
@@ -189,15 +179,14 @@ def assemble(s: AdditiveSpace, pairs: Sequence[ExponentPair]) -> GramMatrix:
     """Gram matrix  ft(mu, a_p - a_q)/2 + ft(nu, b_p - b_q)/2  of a pair list.
 
     Each axis takes the transform at exact coordinate differences
-    (``_half_rows``).  Rows gathered from tables are exactly Hermitian as
-    they stand.  Otherwise, and on every aligned section, only the upper
-    triangle is computed: its conjugate transpose is stored below, turned by
-    the phases into the real form Re(conj(u_p) u_q G_pq) of an aligned
-    section (``_aligned_phases``), and mirrored above.  An axis on which two
-    points agree adds exactly ft(m, 0)/2 = 1/2, so the diagonal is exactly
-    1; the real form's is set to 1, which |u_p|^2 may miss by an ulp.
-    Entries are a few ulps from exact however far the points or supports
-    sit from 0.  Duplicates and the alignment are found on the exact grids.
+    (``_half_rows``).  Only the upper triangle is computed, turned by the
+    phases into the real form Re(conj(u_p) u_q G_pq) of an aligned section
+    (``_aligned_phases``), and mirrored below as its conjugate transpose, so
+    the matrix is exactly Hermitian.  An axis on which two points agree adds
+    exactly ft(m, 0)/2 = 1/2, so the diagonal is exactly 1; the real form's
+    is set to 1, which |u_p|^2 may miss by an ulp.  Entries are a few ulps
+    from exact however far the points or supports sit from 0.  Duplicates
+    and the alignment are found on the exact grids.
     """
     import numpy as np
 
@@ -210,17 +199,15 @@ def assemble(s: AdditiveSpace, pairs: Sequence[ExponentPair]) -> GramMatrix:
     x, y = _axes(s, pairs)
     u = _aligned_phases(s, x, y)
     g = np.empty((n, n), dtype=complex if u is None else float)
-    for rows, block, upper in _row_blocks(x, y, g):
-        if upper:
-            start, stop = rows.start, rows.stop
-            # the block is G[rows, start:], so its conjugate transpose is G[start:, rows]
-            lower = block.conj().T
-            if u is not None:
-                lower = (np.multiply.outer(u[start:].conj(), u[rows]) * lower).real
-            g[start:, rows] = lower
-            g[rows, stop:] = g[stop:, rows].conj().T
-            square = g[rows, rows]
-            square[...] = np.tril(square) + np.tril(square, -1).conj().T
+    for rows, block in _row_blocks(x, y, upper=True):
+        start, stop = rows.start, rows.stop
+        if u is not None:
+            block = (np.multiply.outer(u[rows].conj(), u[start:]) * block).real
+        # the block is G[rows, start:], so its conjugate transpose is G[start:, rows]
+        g[rows, start:] = block
+        g[stop:, rows] = block[:, stop - start:].conj().T
+        square = g[rows, rows]
+        square[...] = np.triu(square) + np.triu(square, 1).conj().T
     if u is not None:
         np.fill_diagonal(g, 1.0)
     g.flags.writeable = False
@@ -234,7 +221,7 @@ def combination_norm_sq(s: AdditiveSpace, c: FiniteCombination) -> float:
 
     v = np.array([coeff for _, coeff in c.terms])
     blocks = _row_blocks(*_axes(s, [p for p, _ in c.terms]))
-    return float(sum(v[rows] @ (block @ v.conj()) for rows, block, _ in blocks).real)
+    return float(sum(v[rows] @ (block @ v.conj()) for rows, block in blocks).real)
 
 
 def identity_deviation(g: GramMatrix) -> float:
@@ -602,21 +589,14 @@ def collinear_failure_demo(a, N: int, g=None, seed: int = 0) -> CollinearFailure
         )
     )
     f = g_rescaled.negated()
-    # <F, e_{n, a n}> for n = -N..N: the frequencies -n and -n p/q of the line
-    # points as integer numerators.  The module attribute is called, so that
-    # perfbench/tracing.py counts these integrals with the others.
-    neg = range(N, -N - 1, -1)
-    integral = additive_space.measure_integral
-    coeffs = 0.5 * integral(s.mu, f, list(neg)) + 0.5 * integral(
-        s.nu, g, [n * a.numerator for n in neg], denominator=a.denominator
-    )
+    coeffs = frame_coefficients(s, (f, g), [ExponentPair(n, a * n) for n in range(-N, N + 1)])
     frame_sum = float(np.sum(np.abs(coeffs) ** 2))
     energy = pair_norm_sq(s, (f, g))
     if energy <= 0:
         raise MalformedInputError("test function is numerically zero")
     return CollinearFailureReport(
         slope=a,
-        n_points=len(neg),
+        n_points=len(coeffs),
         frame_sum=frame_sum,
         energy=energy,
         ratio=frame_sum / energy,

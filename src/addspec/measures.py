@@ -8,11 +8,12 @@ the closed form
     weight * exp(pi*i*lam*(left+right)) * S(pi*lam*(right-left)),
 
 with S(z) = sin(z)/z.  ``transform_rows`` evaluates it at the differences
-(x_i - x_j)/D of a grid of integers over a common denominator D, with every
-phase reduced mod 1 in integer arithmetic (``residues``) and folded to a
-quarter turn before it is rounded (``quarter_sine``), so each value is a few
-ulps from exact however far the frequency or the support sits from 0, and
-exactly 0 where the sine has a zero.
+(x_i - x_j)/D of a grid of integers over a common denominator D, the one
+``exact_grid`` makes of exact values, with every phase reduced mod 1 in
+integer arithmetic (``residues``) and folded to a quarter turn before it is
+rounded (``quarter_sine``), so each value is a few ulps from exact however
+far the frequency or the support sits from 0, and exactly 0 where the sine
+has a zero.
 
 ``Frozen`` gives this module's measure and ``exponents``' value classes
 what a frozen dataclass would, without importing ``dataclasses`` (which
@@ -156,16 +157,38 @@ class IntervalUnionMeasure(Frozen):
 INT64_SAFE = 2**62  # int64 holds every product of the phase reductions below it
 
 
-def residues(nums, h: Fraction):
-    """x p mod q, exactly, for each integer x of ``nums`` (h = p/q).
+def exact_grid(values) -> Tuple[np.ndarray, int]:
+    """``(grid, D)``: exact values as integer numerators over their least
+    common denominator D, the one place where frequencies and coordinates
+    become integers.
+
+    Ints and Fractions carry their own numerator and denominator; anything
+    else goes through ``as_fraction`` (a float by its exact binary value).
+    The grid is int64 while every numerator and D are below 2^62, else an
+    object array of Python ints.  Values whose differences leave the float
+    range raise MalformedInputError.
+    """
+    import numpy as np
+
+    fracs = [v if type(v) is Fraction or type(v) is int else as_fraction(v) for v in values]
+    D = math.lcm(*(f.denominator for f in fracs))
+    nums = [f.numerator * (D // f.denominator) for f in fracs]
+    top = max(map(abs, nums), default=0)
+    if 2 * top > D * int(np.finfo(float).max):
+        raise MalformedInputError("exact values exceed the float range")
+    return np.array(nums, dtype=np.int64 if max(top, D) < INT64_SAFE else object), D
+
+
+def residues(x, h: Fraction):
+    """x p mod q, exactly, for each integer of the array ``x`` (h = p/q).
 
     Products are int64 while |x| q < 2^62 (p is reduced mod q first), else
-    Python ints, as are the entries of a list; residues are int64 if q < 2^62.
+    Python ints, as are those of an object array; residues are int64 if
+    q < 2^62.
     """
     import numpy as np
 
     q = h.denominator
-    x = nums if isinstance(nums, np.ndarray) else np.array(nums, dtype=object)
     if x.dtype == object or int(np.abs(x).max(initial=0)) * q >= INT64_SAFE:
         x = x.astype(object)
     k = x * (h.numerator % q) % q
@@ -255,12 +278,12 @@ def fourier_transform(m: IntervalUnionMeasure, lam) -> complex:
     """Return the transform  integral of e^{2 pi i lam x} dm(x)  in closed form.
 
     Finite lam only, taken exactly (a float by its exact binary value): one
-    entry of ``transform_rows``, exactly 1 at lam = 0.
+    entry of ``transform_rows`` on ``exact_grid([lam, 0])``, exactly 1 at
+    lam = 0.
     """
     import numpy as np
 
-    lam = as_fraction(lam)
-    rows = transform_rows(m, np.array([lam.numerator, 0], dtype=object), lam.denominator)
+    rows = transform_rows(m, *exact_grid([lam, 0]))
     return complex(rows(slice(0, 1), slice(1, 2), np.empty((1, 1), dtype=complex))[0, 0])
 
 

@@ -73,8 +73,6 @@ class OrthSolutionFamily:
     def members(self, count: int) -> Iterator[Tuple[Fraction, Fraction]]:
         """First ``count`` members in a deterministic near-origin-first order."""
         produced = 0
-        if self.kind == "empty":
-            return
         if self.kind == "integer-lattice":
             ring = 1
             while produced < count:
@@ -110,8 +108,6 @@ class OrthSolutionFamily:
         """
         import numpy as np
 
-        if self.kind == "empty":
-            return np.zeros(np.broadcast(l1, l2).shape, dtype=bool)
         if self.kind == "integer-lattice":
             r1 = np.round(l1)
             r2 = np.round(l2)

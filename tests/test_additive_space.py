@@ -247,14 +247,14 @@ def test_measure_integral_matches_mpmath_reference(
 
 
 def test_measure_integral_takes_exact_frequencies(mp_integral):
-    # ints, Fractions and integer numerators over a denominator give one value;
-    # a Fraction with a large denominator far out keeps its exact phase
+    # a scalar and a batch of one give one value; a Fraction with a large
+    # denominator far out keeps its exact phase
     m = IntervalUnionMeasure.unit_interval(999_999)
     fn = PiecewisePolynomial(((Fraction(999_999), Fraction(1_000_000), (0.5, -1.0, 0.25)),))
     f = Fraction(123_456_789_012, 1_000_003)
     as_fraction_value = measure_integral(m, fn, f)
-    as_numerators = measure_integral(m, fn, [f.numerator], denominator=f.denominator)
-    assert as_numerators.shape == (1,) and as_numerators[0] == as_fraction_value
+    batch = measure_integral(m, fn, [f])
+    assert batch.shape == (1,) and batch[0] == as_fraction_value
     with mpmath.workdps(40):
         want = complex(mp_integral(m, fn, f))
         scale = float(abs(mp_integral(m, fn, 0)))
@@ -268,16 +268,18 @@ def test_measure_integral_takes_exact_frequencies(mp_integral):
 def test_measure_integral_mixed_sign_numerators_past_int64(mp_integral):
     # numpy alone would turn the first list into float64, which rounds
     # 10**19 + 1 and flips the sign of its phase; relative errors show it,
-    # since the integral is about 1e-19 at these frequencies
+    # since the integral is about 1e-19 at these frequencies.  Each list is
+    # taken as ints and as thirds of them.
     m = IntervalUnionMeasure.from_pieces([("1/3", "4/3", "1/2"), ("2", "7/2", "1/2")])
     fn = PiecewisePolynomial(((Fraction(1, 2), Fraction(3), (1.0, -0.5j, 0.25)),))
     lines = ([-1, 10**19 + 1, 2**63, 0], [-(10**19 + 1), 2**63 + 3, -(2**64) - 7])
-    for freqs in lines:
-        got = measure_integral(m, fn, freqs, denominator=3)
-        for f, value in zip(freqs, got):
-            with mpmath.workdps(40):
-                want = complex(mp_integral(m, fn, Fraction(f, 3)))
-            assert abs(value - want) <= 1e-14 * abs(want), (f, value, want)
+    for ints in lines:
+        for freqs in (ints, [Fraction(f, 3) for f in ints]):
+            got = measure_integral(m, fn, freqs)
+            for f, value in zip(freqs, got):
+                with mpmath.workdps(40):
+                    want = complex(mp_integral(m, fn, f))
+                assert abs(value - want) <= 1e-14 * abs(want), (f, value, want)
 
 
 def test_measure_norm_sq_exact(unit_measure):

@@ -138,7 +138,7 @@ spaces = st.one_of(
 
 def kernel_rows(s, pairs):
     """G's complex rows as the kernel computes them (``gram._row_blocks``)."""
-    return np.concatenate([block.copy() for _, block, _ in gram._row_blocks(*gram._axes(s, pairs))])
+    return np.concatenate([block.copy() for _, block in gram._row_blocks(*gram._axes(s, pairs))])
 
 
 def complex_gram(s, pairs):

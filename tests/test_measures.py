@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -10,8 +11,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from addspec import IntervalUnionMeasure, fourier_transform, support_bounds
+from addspec.additive_space import (
+    ExponentPair, PiecewisePolynomial, exp_inner, l_space, measure_integral,
+)
 from addspec.errors import MalformedInputError
-from addspec.measures import as_fraction, transform_rows
+from addspec.measures import INT64_SAFE, as_fraction, exact_grid, transform_rows
 
 
 def quad_transform(m, lam):
@@ -136,6 +140,56 @@ def test_rejects_non_finite_frequency(unit_measure):
         fourier_transform(unit_measure, float("inf"))
     with pytest.raises(MalformedInputError):
         fourier_transform(unit_measure, float("nan"))
+
+
+exact_values = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 10**30)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**9).map(str),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(exact_values, min_size=1, max_size=8))
+def test_exact_grid_numerators_over_the_lcm(values):
+    fracs = [as_fraction(v) for v in values]
+    if 2 * max(abs(f) for f in fracs) > sys.float_info.max:
+        with pytest.raises(MalformedInputError, match="float range"):
+            exact_grid(values)
+        return
+    grid, D = exact_grid(values)
+    assert D == math.lcm(*(f.denominator for f in fracs))
+    assert [Fraction(int(x), D) for x in grid] == fracs
+    nums = [f.numerator * (D // f.denominator) for f in fracs]
+    assert (grid.dtype == np.int64) == (max(max(map(abs, nums)), D) < INT64_SAFE)
+    assert grid.dtype in (np.int64, object)
+
+
+@pytest.mark.parametrize("value, dtype", [
+    (2**62 - 1, np.int64), (-(2**62) + 1, np.int64), (2**62, object), (-(2**62), object),
+    (Fraction(1, 2**62 - 1), np.int64), (Fraction(1, 2**62), object),
+])
+def test_exact_grid_dtype_edges(value, dtype):
+    # numerators and D below 2^62 stay int64, so their phase products do too
+    grid, D = exact_grid([value, 0])
+    assert grid.dtype == dtype and Fraction(int(grid[0]), D) == value
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400])
+def test_exact_grid_rejects_values_past_the_float_range(value):
+    with pytest.raises(MalformedInputError):
+        exact_grid([value])
+
+
+def test_transforms_past_the_float_range_are_malformed(unit_measure):
+    fn = PiecewisePolynomial.constant([(0, 1)])
+    with pytest.raises(MalformedInputError, match="float range"):
+        fourier_transform(unit_measure, 10**400)
+    with pytest.raises(MalformedInputError, match="float range"):
+        measure_integral(unit_measure, fn, [10**400])
+    with pytest.raises(MalformedInputError, match="float range"):
+        exp_inner(l_space(), ExponentPair(10**400, 0), ExponentPair(0, 0))
 
 
 def test_json_roundtrip(split_measure):
