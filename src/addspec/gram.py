@@ -278,36 +278,28 @@ def _two_colouring(n: int, src, dst):
     """Colours (bools) of n points that differ across each edge
     (src[k], dst[k]) wherever the graph allows it.
 
-    Each round hooks every root below the smallest smaller root that an
-    edge of its tree reaches, at the parity that puts the edge's ends on
-    opposite sides, and then jumps every pointer to its root.  A root that
-    hooks below none is hooked onto by every tree next to it, so the trees
-    of a component at least halve each round, however long its paths are.
+    A breadth-first search starts at each still-uncoloured point in index
+    order, gives it False and every point it reaches the opposite of the
+    point it was reached from.  So each component's smallest point is False,
+    and on an odd cycle some edge keeps equal colours.
     """
     import numpy as np
 
-    # root[p] is p's root and side[p] p's colour relative to that root's
-    root = np.arange(n)
-    side = np.zeros(n, dtype=bool)
-    while True:
-        r_src, r_dst = root[src], root[dst]
-        cross = np.flatnonzero(r_src != r_dst)
-        if cross.size == 0:
-            return side
-        low = np.minimum(r_src, r_dst)[cross]
-        high = np.maximum(r_src, r_dst)[cross]
-        # the smallest target of each root, packed with its parity
-        hook = np.full(n, 2 * n)
-        np.minimum.at(hook, high, 2 * low + ~(side[src] ^ side[dst])[cross])
-        hooked = np.flatnonzero(hook < 2 * n)
-        root[hooked] = hook[hooked] >> 1
-        side[hooked] = hook[hooked] & 1
-        while True:
-            up = root[root]
-            if np.array_equal(up, root):
-                break
-            side ^= side[root]
-            root = up
+    near = [[] for _ in range(n)]
+    for p, q in zip(src.tolist(), dst.tolist()):
+        near[p].append(q)
+        near[q].append(p)
+    side = [None] * n
+    for start in range(n):
+        if side[start] is None:
+            side[start] = False
+            queue = [start]
+            for p in queue:
+                for q in near[p]:
+                    if side[q] is None:
+                        side[q] = not side[p]
+                        queue.append(q)
+    return np.array(side, dtype=bool)
 
 
 def _extremes(e, n: int, side) -> Tuple[float, float]:
@@ -520,17 +512,13 @@ def monomial_pair(s: AdditiveSpace, degree_x: int, degree_y: int):
     )
 
 
-def random_piecewise_linear(
-    intervals, rng: np.random.Generator, splits: int = 1
-) -> PiecewisePolynomial:
-    """Random continuous-by-parts linear function on the given intervals."""
+def random_piecewise_linear(intervals, rng: np.random.Generator) -> PiecewisePolynomial:
+    """Random linear function on each third of each of the given intervals."""
     pieces = []
     for l, r in intervals:
         l = as_fraction(l)
         r = as_fraction(r)
-        cuts = [l] + [
-            l + (r - l) * Fraction(k, splits + 1) for k in range(1, splits + 1)
-        ] + [r]
+        cuts = [l + (r - l) * Fraction(k, 3) for k in range(4)]
         for lo, hi in zip(cuts, cuts[1:]):
             c0, c1 = rng.uniform(-1.0, 1.0, size=2)
             pieces.append((lo, hi, (complex(c0), complex(c1))))
@@ -577,7 +565,7 @@ def collinear_failure_demo(a, N: int, g=None, seed: int = 0) -> CollinearFailure
         if g != "random":
             raise MalformedInputError(f"unknown test function {g!r}")
         rng = np.random.default_rng(seed)
-        g = random_piecewise_linear(support_intervals(s.nu), rng, splits=2)
+        g = random_piecewise_linear(support_intervals(s.nu), rng)
     g_rescaled = PiecewisePolynomial(
         tuple(
             (
@@ -589,7 +577,9 @@ def collinear_failure_demo(a, N: int, g=None, seed: int = 0) -> CollinearFailure
         )
     )
     f = g_rescaled.negated()
-    coeffs = frame_coefficients(s, (f, g), [ExponentPair(n, a * n) for n in range(-N, N + 1)])
+    p, q = a.numerator, a.denominator
+    line = [ExponentPair._exact(Fraction(n), Fraction(p * n, q)) for n in range(-N, N + 1)]
+    coeffs = frame_coefficients(s, (f, g), line)
     frame_sum = float(np.sum(np.abs(coeffs) ** 2))
     energy = pair_norm_sq(s, (f, g))
     if energy <= 0:

@@ -170,9 +170,12 @@ def exact_grid(values) -> Tuple[np.ndarray, int]:
     """
     import numpy as np
 
-    fracs = [v if type(v) is Fraction or type(v) is int else as_fraction(v) for v in values]
-    D = math.lcm(*(f.denominator for f in fracs))
-    nums = [f.numerator * (D // f.denominator) for f in fracs]
+    ratios = [
+        (v if type(v) is Fraction or type(v) is int else as_fraction(v)).as_integer_ratio()
+        for v in values
+    ]
+    D = math.lcm(*(d for _, d in ratios))
+    nums = [n * (D // d) for n, d in ratios]
     top = max(map(abs, nums), default=0)
     if 2 * top > D * int(np.finfo(float).max):
         raise MalformedInputError("exact values exceed the float range")

@@ -20,6 +20,7 @@ this module loads none.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,34 +73,23 @@ class OrthSolutionFamily:
 
     def members(self, count: int) -> Iterator[Tuple[Fraction, Fraction]]:
         """First ``count`` members in a deterministic near-origin-first order."""
-        produced = 0
-        if self.kind == "integer-lattice":
-            ring = 1
-            while produced < count:
-                cells = sorted(
-                    {
-                        (m, n)
-                        for m in range(-ring, ring + 1)
-                        for n in range(-ring, ring + 1)
-                        if m != 0 and n != 0 and max(abs(m), abs(n)) == ring
-                    }
-                )
-                for m, n in cells:
-                    if produced >= count:
-                        return
-                    yield Fraction(m), Fraction(n)
-                    produced += 1
-                ring += 1
-            return
-        j = 0
-        while produced < count:
-            for jj in ((j,) if j == 0 else (j, -j)):
-                if produced >= count:
-                    return
-                l1 = self.offset + self.step * jj
+        walk = self._lattice() if self.kind == "integer-lattice" else self._antidiagonal()
+        return itertools.islice(walk, count)
+
+    def _lattice(self) -> Iterator[Tuple[Fraction, Fraction]]:
+        # ring by ring in the sup norm, each ring in (l1, l2) order
+        for ring in itertools.count(1):
+            for m in range(-ring, ring + 1):
+                for n in range(-ring, ring + 1):
+                    if m and n and ring in (abs(m), abs(n)):
+                        yield Fraction(m), Fraction(n)
+
+    def _antidiagonal(self) -> Iterator[Tuple[Fraction, Fraction]]:
+        # l1 = offset + step * j at j = 0, 1, -1, 2, -2, ...
+        yield self.offset, -self.offset
+        for j in itertools.count(1):
+            for l1 in (self.offset + self.step * j, self.offset - self.step * j):
                 yield l1, -l1
-                produced += 1
-            j += 1
 
     def near_mask(self, l1: np.ndarray, l2: np.ndarray, radius: float) -> np.ndarray:
         """Elementwise mask of points within ``radius`` (sup norm) of a member.

@@ -704,8 +704,8 @@ def test_generic_phases_keep_the_diagonal_exactly_one():
 
 
 def test_shuffled_lev_path_takes_the_half_size_step():
-    # lines of at most two points: the joins form long paths, whose
-    # colouring takes a few rounds of pointer jumping
+    # lines of at most two points: the joins form long paths, which the
+    # breadth-first colouring walks from each path's smallest point
     pairs = list(lev_style_set(2, 60).points)
     np.random.default_rng(2).shuffle(pairs)
     sizes = [31, 62]
@@ -743,6 +743,62 @@ def test_rectangle_splits_and_keeps_the_loop_alternation(eigh_calls):
     assert abs(cert.lambda_min[1]) < 1e-15 and cert.lambda_max[1] == pytest.approx(2, abs=1e-15)
     assert cert.verdict == "degenerate" and eigh_calls == []
     assert [c for _, c in cert.null_combination.terms] == [0.5, -0.5, 0.5, -0.5]
+
+
+def _colouring(n, edges, seed=0):
+    """gram._two_colouring on the edges, each turned a random way round and
+    the list shuffled, as ``_halves`` passes first and last neighbours."""
+    rng = np.random.default_rng(seed)
+    e = rng.permuted(np.array(edges, dtype=np.int64).reshape(-1, 2), axis=1)
+    rng.shuffle(e)
+    side = gram._two_colouring(n, e[:, 0], e[:, 1])
+    assert side.dtype == bool and side.shape == (n,)
+    return side
+
+
+def test_two_colouring_of_a_shuffled_path():
+    labels = np.random.default_rng(4).permutation(41).tolist()
+    edges = list(zip(labels, labels[1:]))
+    origin = labels.index(0)
+    want = [(i - origin) % 2 == 1 for i in range(41)]
+    side = _colouring(41, edges)
+    assert [bool(side[p]) for p in labels] == want
+
+
+def test_two_colouring_of_a_complete_bipartite_graph():
+    labels = np.random.default_rng(5).permutation(8).tolist()
+    part, rest = labels[:3], labels[3:]
+    side = _colouring(8, [(p, q) for p in part for q in rest])
+    assert set(side[part].tolist()) == {0 not in part}
+    assert set(side[rest].tolist()) == {0 in part}
+
+
+def test_two_colouring_of_isolated_points():
+    assert not gram._two_colouring(6, np.array([], dtype=np.int64), np.array([], dtype=np.int64)).any()
+
+
+def test_two_colouring_of_several_components():
+    labels = np.random.default_rng(6).permutation(18).tolist()
+    groups = [labels[0:5], labels[5:9], labels[9:13], labels[13:15]] + [[p] for p in labels[15:]]
+    path, star, square, pair = groups[:4]
+    edges = list(zip(path, path[1:])) + [(star[0], p) for p in star[1:]]
+    edges += list(zip(square, square[1:] + square[:1])) + [tuple(pair)]
+    # _halves passes a point's only neighbour twice, as first and as last
+    side = _colouring(18, edges + edges[:3], seed=1)
+    assert all(side[p] != side[q] for p, q in edges)
+    # each component's smallest point is False: the orientation that fixes
+    # which half C's rows come from
+    assert not any(side[min(c)] for c in groups)
+
+
+def test_odd_cycle_returns_and_is_no_split():
+    cycle = [(p, (p + 1) % 5) for p in range(5)]
+    assert _colouring(5, cycle).shape == (5,)
+    for n, edges, splits in ((5, cycle, False), (6, [(p, (p + 1) % 6) for p in range(6)], True)):
+        e = np.eye(n)
+        for p, q in edges:
+            e[p, q] = e[q, p] = 0.25
+        assert (gram._halves(e) is not None) is splits
 
 
 # ---------------------------------------------------------------------------
@@ -918,7 +974,7 @@ def test_collinear_fields_match_mpmath_reference(mp_integral, a, N, g, seed):
     if g is None:
         g = PiecewisePolynomial.constant(support_intervals(s.nu), 1.0)
     else:
-        g = random_piecewise_linear(support_intervals(s.nu), np.random.default_rng(seed), splits=2)
+        g = random_piecewise_linear(support_intervals(s.nu), np.random.default_rng(seed))
     with mpmath.workdps(40):
         inv_a = mpmath.mpf(a.denominator) / a.numerator
         energy = float((inv_a + 1) * mp_norm_sq(mp_integral, s.nu, g) / 2)
