@@ -128,8 +128,8 @@ def _cmd_analyze(args: argparse.Namespace):
     windows = [args.window / 2, args.window, 2 * args.window]
     rows = []
     for axis in ("x", "y"):
-        # converted once and sorted once: each window reuses the list, the
-        # floats of project()'s sorted Fractions, as rounding is monotone
+        # floated and sorted once for the three windows; lower_beurling_density
+        # re-floats and re-sorts it on each call, a linear pass on sorted input
         proj = sorted(map(float, es.axis_lines(axis)))
         sweep = []
         for w in windows:

@@ -7,9 +7,10 @@ satisfy
     e^{pi i l1 (2t+1)} S(pi l1) + e^{pi i l2 (2t'+1)} S(pi l2) = 0,
 
 with S(z) = sin(z)/z.  Closed-form solution families are hard-coded for the
-three solved parameter cases (t = t' = 0; symmetric 2t+1 = 1/a with integer
-a >= 2; t = -1/2, t' = -1).  Everything else degrades to residual scans,
-never to fabricated families.
+solved parameter cases: the symmetric family t = t' with 2t+1 = 1/a for an
+integer a >= 1, whose a = 1 member is the L shape t = t' = 0, and the T
+shape t = -1/2, t' = -1.  Everything else degrades to residual scans, never
+to fabricated families.
 
 A residual scan evaluates only the grid cells that can hold its minimum, and
 is exact: a sampled unmasked cell bounds the minimum, and |z| >= |Re z| puts
@@ -35,6 +36,7 @@ SCAN_ROOT_TOL = 1e-6
 EXCLUSION_RADIUS = 1e-3
 SCAN_SAMPLE = 64  # rows and columns of the subgrid that bounds the residual scan
 SCAN_GROUP = 1 << 20  # most candidate cells the residual scan evaluates at once
+CLASSIFY_POINTS = 10**6  # most candidate points a density estimate builds
 
 
 def _phase_factor(two_t_plus_1: float, lam: np.ndarray) -> np.ndarray:
@@ -114,53 +116,44 @@ INTEGER_LATTICE = OrthSolutionFamily(kind="integer-lattice")
 
 
 def classify_case(t, t_prime) -> Tuple:
-    """("L",), ("symmetric", a), ("T",) or ("unsolved",) for the parameters."""
+    """("L",), ("symmetric", a), ("T",) or ("unsolved",) for the parameters.
+
+    The symmetric cases are t = t' with 2t+1 = 1/a for an integer a >= 1,
+    reported as ("L",) at a = 1 and as ("symmetric", a) above it.
+    """
     t = as_fraction(t)
     tp = as_fraction(t_prime)
-    if t == 0 and tp == 0:
-        return ("L",)
-    if t == tp:
-        w = 2 * t + 1
-        if w > 0 and w.numerator == 1 and w.denominator >= 2:
-            return ("symmetric", w.denominator)
+    w = 2 * t + 1
+    if t == tp and w > 0 and w.numerator == 1:
+        return ("L",) if w == 1 else ("symmetric", w.denominator)
     if t == Fraction(-1, 2) and tp == -1:
         return ("T",)
     return ("unsolved",)
 
 
+def _symmetric_a(case: Tuple) -> Optional[int]:
+    """a of a symmetric solved case (1 for L); None for T and unsolved."""
+    if case[0] == "L":
+        return 1
+    return case[1] if case[0] == "symmetric" else None
+
+
 def solve_families(t, t_prime) -> List[OrthSolutionFamily]:
     """Closed-form families for the solved cases; empty list when unsolved.
 
-    An empty result means the parameters fall outside the solved case table,
-    not that the constraint has no solutions; callers fall back to scans.
+    Every solved case has the integer lattice; an odd symmetric a adds the
+    antidiagonal l1 = -l2 in a/2 + aZ.  An empty result means the parameters
+    fall outside the solved case table, not that the constraint has no
+    solutions; callers fall back to scans.
     """
     case = classify_case(t, t_prime)
-    if case[0] == "L":
-        return [
-            INTEGER_LATTICE,
-            OrthSolutionFamily(
-                kind="antidiagonal-half-integer",
-                offset=Fraction(1, 2),
-                step=Fraction(1),
-                sign_coupled=True,
-            ),
-        ]
-    if case[0] == "symmetric":
-        a = case[1]
-        fams = [INTEGER_LATTICE]
-        if a % 2 == 1:
-            fams.append(
-                OrthSolutionFamily(
-                    kind="antidiagonal-odd-multiple-a-half",
-                    offset=Fraction(a, 2),
-                    step=Fraction(a),
-                    sign_coupled=True,
-                )
-            )
-        return fams
-    if case[0] == "T":
+    if case[0] == "unsolved":
+        return []
+    a = _symmetric_a(case)
+    if a is None or a % 2 == 0:
         return [INTEGER_LATTICE]
-    return []
+    kind = "antidiagonal-half-integer" if a == 1 else "antidiagonal-odd-multiple-a-half"
+    return [INTEGER_LATTICE, OrthSolutionFamily(kind, Fraction(a, 2), Fraction(a), True)]
 
 
 @dataclass(frozen=True)
@@ -291,36 +284,34 @@ def classify_spectrum_candidates(
     candidate is a valid orthonormal spectrum.  For even a there are no
     non-integer solutions at all; for odd a >= 3 the projection (a/2)Z has
     density 2/a < 1 and fails the Landau necessary condition for frames.
+    The density estimate takes about 8 * window / a points, at most
+    CLASSIFY_POINTS.
     """
     if not math.isfinite(window):
         raise MalformedInputError(f"window must be finite, got {window}")
     if not window > 0:
         raise MalformedInputError("window must be positive")
+    if anchors < 1:
+        raise MalformedInputError("need at least one anchor")
     t = as_fraction(t)
-    case = classify_case(t, t)
-    if case[0] == "L":
-        a = 1
-    elif case[0] == "symmetric":
-        a = case[1]
-    else:
+    a = _symmetric_a(classify_case(t, t))
+    if a is None:
         raise UnsolvedCaseError(f"t={t} is not a solved symmetric case")
-    if a % 2 == 0:
-        return SpectrumClassification(
-            t=t,
-            a=a,
-            candidate_step=None,
-            projection_step=None,
-            density_exact=None,
-            density_window_estimate=None,
-            window=float(window),
-            verdict="fails: empty non-integer candidate",
-        )
-    step = Fraction(a, 2)
-    half_count = int(math.ceil(2 * float(window) / float(step))) + 1
-    proj = [step * j for j in range(-half_count, half_count + 1)]
-    estimate = lower_beurling_density(proj, window, anchors)
-    exact = Fraction(2, a)
-    verdict = "valid ONB" if exact >= 1 else "fails Landau necessary condition"
+    step = exact = estimate = None
+    verdict = "fails: empty non-integer candidate"
+    if a % 2 == 1:
+        step = Fraction(a, 2)
+        exact = Fraction(2, a)
+        per_side = 2 * float(window) / float(step)
+        if per_side > (CLASSIFY_POINTS - 3) // 2:
+            raise MalformedInputError(
+                f"window {window} needs {2 * per_side + 3:.3g} candidate points, "
+                f"more than {CLASSIFY_POINTS}"
+            )
+        half_count = int(math.ceil(per_side)) + 1
+        proj = [step * j for j in range(-half_count, half_count + 1)]
+        estimate = lower_beurling_density(proj, window, anchors)
+        verdict = "valid ONB" if exact >= 1 else "fails Landau necessary condition"
     return SpectrumClassification(
         t=t,
         a=a,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,13 @@ from addspec.errors import (
     MultiplicityOneViolation,
     UnsolvedCaseError,
 )
-from addspec.ortho_solver import EXCLUSION_RADIUS, FAMILY_TOL, SCAN_ROOT_TOL
+from addspec.ortho_solver import (
+    CLASSIFY_POINTS,
+    EXCLUSION_RADIUS,
+    FAMILY_TOL,
+    INTEGER_LATTICE,
+    SCAN_ROOT_TOL,
+)
 
 
 def test_residual_at_solution_points():
@@ -81,6 +88,8 @@ def test_families_for_each_case():
         (Fraction(-1, 3), Fraction(-1, 3)),
         (Fraction(-1, 5), Fraction(-1, 5)),  # 2t+1 = 3/5: unsolved, no families
         (Fraction(-2, 5), Fraction(-2, 5)),  # 2t+1 = 1/5
+        (Fraction(-3, 7), Fraction(-3, 7)),  # 2t+1 = 1/7
+        (Fraction(-7, 16), Fraction(-7, 16)),  # 2t+1 = 1/8
         (Fraction(-1, 2), Fraction(-1)),
     ],
 )
@@ -319,6 +328,57 @@ def test_classify_rejects_non_positive_window(t, window):
     # a window of no length gives no candidates, whose density would read 0
     with pytest.raises(MalformedInputError, match="window must be positive"):
         classify_spectrum_candidates(t, window=window)
+
+
+@pytest.mark.parametrize("t", [0, Fraction(-1, 3), Fraction(-1, 4)])
+@pytest.mark.parametrize("anchors", [0, -1])
+def test_classify_rejects_no_anchors_on_every_parity(t, anchors):
+    with pytest.raises(MalformedInputError, match="need at least one anchor"):
+        classify_spectrum_candidates(t, anchors=anchors)
+
+
+@pytest.mark.parametrize(
+    "t,window",
+    [
+        # a = 1 and a = 3 take 2 * ceil(4 * window / a) + 3 points: 999999 at
+        # windows 124999.5 and 374998.5, more than CLASSIFY_POINTS just past them
+        (0, 124999.5 + 1e-6),
+        (Fraction(-1, 3), 374998.5 + 1e-6),
+        (0, 1e9),
+        (Fraction(-1, 3), 1e200),
+        (0, 1.7e308),  # 2 * window overflows to inf
+    ],
+)
+def test_classify_bounds_its_candidate_points(t, window):
+    # the bound is checked before any candidate is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedInputError, match=f"more than {CLASSIFY_POINTS}"):
+            classify_spectrum_candidates(t, window=window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_solved_case_table_agrees_with_itself():
+    for a in range(1, 61):
+        t = Fraction(1 - a, 2 * a)  # 2t+1 = 1/a
+        case = classify_case(t, t)
+        fams = solve_families(t, t)
+        c = classify_spectrum_candidates(t, window=10)
+        assert case == (("L",) if a == 1 else ("symmetric", a))
+        assert c.a == a and fams[0] == INTEGER_LATTICE
+        if a % 2:
+            kind = "antidiagonal-half-integer" if a == 1 else "antidiagonal-odd-multiple-a-half"
+            assert fams[1:] == [ortho_solver.OrthSolutionFamily(kind, c.candidate_step, a, True)]
+            assert c.candidate_step == c.projection_step == Fraction(a, 2)
+            assert c.density_exact == Fraction(2, a)
+        else:
+            assert fams == [INTEGER_LATTICE]
+            assert c.candidate_step is c.projection_step is c.density_exact is None
+            assert c.density_window_estimate is None
+        assert (c.verdict == "valid ONB") == (a == 1)
 
 
 def test_classify_rejects_unsolved():
