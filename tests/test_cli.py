@@ -450,13 +450,13 @@ def test_non_finite_inputs_are_malformed(tmp_path, argv, message):
         (["solve-oe", "--t=-1/4", "--t-prime=-1/4", "--classify", "--window", "-5"],
          "window must be positive"),
         (["solve-oe", "--space", "L", "--classify", "--window", "0"], "window must be positive"),
+        (["demo-collinear", "--a", "1/2", "--N", "-3"], "N must be non-negative, got -3"),
         (["solve-oe", "--t=-1/4", "--t-prime=-1/4", "--classify", "--anchors", "0"],
          "need at least one anchor"),
         (["solve-oe", "--t=-1/3", "--t-prime=-1/3", "--classify", "--anchors", "0"],
          "need at least one anchor"),
         (["solve-oe", "--space", "L", "--classify", "--window", "1e9"],
          "window 1000000000.0 needs 8e+09 candidate points, more than 1000000"),
-        (["demo-collinear", "--a", "1/2", "--N", "-3"], "N must be non-negative, got -3"),
     ],
 )
 def test_out_of_range_inputs_are_malformed(tmp_path, argv, message):
