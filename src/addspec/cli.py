@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import __version__
-from .errors import MalformedInputError, ToolkitError
+from .errors import MalformedInputError, ToolkitError, UnsolvedCaseError
 from .exponents import (
     ExponentSet,
     find_zigzag_loop,
@@ -210,6 +210,9 @@ def _cmd_solve_oe(args: argparse.Namespace):
         raise MalformedInputError("give --space or --t/--t-prime")
     fams = _cli.solve_families(t, tp)
     case = _cli.classify_case(t, tp)
+    # every symmetric case has t' = t; classify_spectrum_candidates rejects an unsolved t
+    if args.classify and tp != t and _cli.classify_case(t, t)[0] != "unsolved":
+        raise UnsolvedCaseError(f"t={t}, t'={tp} is not a solved symmetric case")
     body = {
         "t": t,
         "t_prime": tp,

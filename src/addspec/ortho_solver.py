@@ -12,9 +12,13 @@ integer a >= 1, whose a = 1 member is the L shape t = t' = 0, and the T
 shape t = -1/2, t' = -1.  Everything else degrades to residual scans, never
 to fabricated families.
 
-A residual scan evaluates only the grid cells that can hold its minimum, and
-is exact: a sampled unmasked cell bounds the minimum, and |z| >= |Re z| puts
-every cell under that bound in one searchable run of each grid row.
+The residual |ft(U[t], l1) + ft(U[t'], l2)| is ``measures``' transform
+kernel at exact points, so it reads exactly 0 on the families, and at a
+lattice cell (two integer frequencies) of an unsolved scan box.  A residual
+scan evaluates only the grid cells that can hold its minimum, and is exact:
+a sampled unmasked cell bounds the minimum, and |z| >= |Re z| puts every
+cell under that bound in one searchable run of each grid row.  Exact ties
+go to the first cell in grid order.
 numpy is imported inside the functions that compute with it, so importing
 this module loads none.
 """
@@ -29,7 +33,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import MalformedInputError, MultiplicityOneViolation, UnsolvedCaseError
 from .exponents import lower_beurling_density
-from .measures import as_fraction
+from .measures import IntervalUnionMeasure, as_fraction, exact_grid
+from .measures import fourier_transform, transform_rows
 
 FAMILY_TOL = 1e-12
 SCAN_ROOT_TOL = 1e-6
@@ -39,25 +44,12 @@ SCAN_GROUP = 1 << 20  # most candidate cells the residual scan evaluates at once
 CLASSIFY_POINTS = 10**6  # most candidate points a density estimate builds
 
 
-def _phase_factor(two_t_plus_1: float, lam: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    # np.sinc(x) is sin(pi x)/(pi x), exactly the multiplier in play
-    return np.exp(1j * np.pi * two_t_plus_1 * lam) * np.sinc(lam)
-
-
-def residual(t, t_prime, l1: float, l2: float) -> float:
-    """|LHS + RHS| of the orthogonality constraint; 0 iff (l1, l2) solves it."""
-    import numpy as np
-
+def residual(t, t_prime, l1, l2) -> float:
+    """|ft(U[t], l1) + ft(U[t'], l2)|, the constraint's |LHS + RHS|: 0 iff (l1, l2) solves it."""
     if l1 == 0 or l2 == 0:
         raise MultiplicityOneViolation("frequency differences must be nonzero")
-    if not (math.isfinite(float(l1)) and math.isfinite(float(l2))):
-        raise MalformedInputError("non-finite frequency difference")
-    w1 = float(2 * as_fraction(t) + 1)
-    w2 = float(2 * as_fraction(t_prime) + 1)
-    v = _phase_factor(w1, np.float64(l1)) + _phase_factor(w2, np.float64(l2))
-    return float(abs(v))
+    unit = IntervalUnionMeasure.unit_interval
+    return abs(fourier_transform(unit(t), l1) + fourier_transform(unit(t_prime), l2))
 
 
 @dataclass(frozen=True)
@@ -176,6 +168,8 @@ def scan_residual(
 ) -> ScanResult:
     """Minimum residual over a cell-centered grid, outside family neighborhoods.
 
+    A cell's residual is the transform kernel's at its exact centre, and the
+    centre is reported rounded once.
     Family neighborhoods are closed sup-norm balls of radius EXCLUSION_RADIUS;
     the radius gets a one-part-in-10^9 slack so boundary ties resolve the same
     way regardless of rounding in the grid coordinates.  Cells on the
@@ -209,10 +203,19 @@ def scan_residual(
     if not (x1 > x0 and y1 > y0):
         raise MalformedInputError("degenerate scan box")
     radius = EXCLUSION_RADIUS * (1 + 1e-9)
-    l1s = x0 + (np.arange(grid) + 0.5) * (x1 - x0) / grid
-    l2s = y0 + (np.arange(grid) + 0.5) * (y1 - y0) / grid
-    p1 = _phase_factor(float(2 * t + 1), l1s)
-    p2 = _phase_factor(float(2 * tp + 1), l2s)
+    # centres lo + (2i+1)(hi-lo)/(2 grid) over den, int64 below 2^53, where numpy's
+    # true division rounds once as Python's does; the kernel reads them against 0
+    corners, D = exact_grid([x0, x1, y0, y1])
+    den = 2 * grid * D
+    axes = []
+    for s, (lo, hi) in zip((t, tp), (corners[:2].tolist(), corners[2:].tolist())):
+        small = 2 * grid * max(abs(lo), abs(hi), D) < 2**53
+        odd = 2 * np.arange(grid, dtype=np.int64 if small else object) + 1
+        x = 2 * grid * lo + odd * (hi - lo)
+        rows = transform_rows(IntervalUnionMeasure.unit_interval(s), np.append(x, 0), den)
+        ft = rows(slice(0, grid), slice(grid, None), np.empty((grid, 1), dtype=complex))
+        axes.append((np.asarray(x / den, dtype=float), ft[:, 0]))
+    (l1s, p1), (l2s, p2) = axes
 
     def masked(i, j, r):
         a, b = l1s[i], l2s[j]
@@ -309,7 +312,8 @@ def classify_spectrum_candidates(
                 f"more than {CLASSIFY_POINTS}"
             )
         half_count = int(math.ceil(per_side)) + 1
-        proj = [step * j for j in range(-half_count, half_count + 1)]
+        # a j / 2 is exact in a float below 2^53, so this is the estimate on (a/2)Z
+        proj = [float(step) * j for j in range(-half_count, half_count + 1)]
         estimate = lower_beurling_density(proj, window, anchors)
         verdict = "valid ONB" if exact >= 1 else "fails Landau necessary condition"
     return SpectrumClassification(

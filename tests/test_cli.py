@@ -357,6 +357,15 @@ def test_unsolved_classify_exit_code(tmp_path):
     assert json.loads(out.read_text())["error"]["code"] == "unsolved-case"
 
 
+def test_classify_needs_t_prime_equal_to_a_solved_t(tmp_path):
+    # t = -1/3 alone is the symmetric case a = 3; the pair (-1/3, -1/4) is unsolved
+    argv = ["solve-oe", "--t=-1/3", "--t-prime=-1/4", "--classify"]
+    code, err = run_json(tmp_path, argv, name="err.json")
+    assert code == 5
+    assert err == {"error": {
+        "code": "unsolved-case", "message": "t=-1/3, t'=-1/4 is not a solved symmetric case"}}
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

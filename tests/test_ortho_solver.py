@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,8 +10,13 @@ from hypothesis import strategies as st
 
 from addspec import ortho_solver
 from addspec import (
+    AdditiveSpace,
+    ExponentPair,
+    IntervalUnionMeasure,
     classify_case,
     classify_spectrum_candidates,
+    exp_inner,
+    lower_beurling_density,
     residual,
     scan_residual,
     solve_families,
@@ -20,6 +26,7 @@ from addspec.errors import (
     MultiplicityOneViolation,
     UnsolvedCaseError,
 )
+from addspec.measures import transform_rows
 from addspec.ortho_solver import (
     CLASSIFY_POINTS,
     EXCLUSION_RADIUS,
@@ -40,6 +47,47 @@ def test_residual_off_solution():
     v = residual(Fraction(-1, 2), -1, 0.3, 0.7)
     assert v == pytest.approx(0.7077754198225027, abs=1e-12)
     assert v >= 0.1
+
+
+def _mp_transform(t, lam):
+    """ft(U[t], lam) = e^{pi i lam (2t+1)} sin(pi lam) / (pi lam) at 40 digits."""
+    z = mpmath.pi * mpmath.mpf(lam.numerator) / lam.denominator
+    w = mpmath.mpf((2 * t + 1).numerator) / (2 * t + 1).denominator
+    return mpmath.exp(1j * z * w) * mpmath.sin(z) / z
+
+
+@pytest.mark.parametrize("t,tp", [("1/3", "1/3"), ("5/11", "5/11"), ("1/3", "5/11")])
+@pytest.mark.parametrize(
+    "l1,l2",
+    [
+        (1e5 + 0.25, -1e5 - 0.75),
+        (-3e6 - 1 / 3, 7e5 + 0.1),
+        (2.0**30 + 0.375, -(2.0**30) - 0.125),
+        (2.0**40 + 0.25, 0.7 - 2.0**40),
+    ],
+)
+def test_residual_far_from_the_origin_matches_mpmath(t, tp, l1, l2):
+    # the phases are reduced exactly: a few ulps of the amplitude at any |lam|
+    t, tp = Fraction(t), Fraction(tp)
+    with mpmath.workdps(40):
+        ft1, ft2 = _mp_transform(t, Fraction(l1)), _mp_transform(tp, Fraction(l2))
+        want = float(abs(ft1 + ft2))
+        amplitude = float(abs(ft1) + abs(ft2))
+    assert abs(residual(t, tp, l1, l2) - want) <= 4 * np.finfo(float).eps * amplitude
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ts=st.tuples(st.fractions(-3, 3, max_denominator=50), st.fractions(-3, 3, max_denominator=50)),
+    lams=st.tuples(
+        st.fractions(-1e6, 1e6, max_denominator=1000).filter(bool),
+        st.fractions(-1e6, 1e6, max_denominator=1000).filter(bool),
+    ),
+)
+def test_residual_is_twice_a_gram_entry(ts, lams):
+    space = AdditiveSpace(*(IntervalUnionMeasure.unit_interval(t) for t in ts))
+    entry = exp_inner(space, ExponentPair(*lams), ExponentPair(0, 0))
+    assert residual(*ts, *lams) == 2 * abs(entry)
 
 
 def test_residual_rejects_zero_differences():
@@ -162,16 +210,23 @@ def test_scan_is_deterministic():
 
 
 def dense_scan(t, tp, box, grid, families):
-    """Every cell of the grid at once: (min residual, argmin), first index on ties."""
+    """Every cell of the grid at once: (min residual, argmin), first index on ties.
+
+    Each axis's exact centres, as Python ints over 2 grid D, get the library
+    kernel's transform, one ``transform_rows`` column against 0."""
     radius = EXCLUSION_RADIUS * (1 + 1e-9)
-    (x0, x1), (y0, y1) = box
-    l1 = x0 + (np.arange(grid) + 0.5) * (x1 - x0) / grid
-    l2 = y0 + (np.arange(grid) + 0.5) * (y1 - y0) / grid
+    den = 2 * grid * math.lcm(*(Fraction(v).denominator for side in box for v in side))
 
-    def phase(w, lam):
-        return np.exp(1j * np.pi * w * lam) * np.sinc(lam)
+    def axis(s, lo, hi):
+        lo, hi = Fraction(lo), Fraction(hi)
+        nums = [int((lo + (2 * i + 1) * (hi - lo) / (2 * grid)) * den) for i in range(grid)]
+        x = np.array(nums + [0], dtype=object)
+        rows = transform_rows(IntervalUnionMeasure.unit_interval(s), x, den)
+        ft = rows(slice(0, grid), slice(grid, None), np.empty((grid, 1), dtype=complex))
+        return np.array([float(Fraction(n, den)) for n in nums]), ft[:, 0]
 
-    r = np.abs(phase(float(2 * t + 1), l1)[:, None] + phase(float(2 * tp + 1), l2)[None, :])
+    (l1, p1), (l2, p2) = axis(t, *box[0]), axis(tp, *box[1])
+    r = np.abs(p1[:, None] + p2[None, :])
     mask = (np.abs(l1) < 1e-12)[:, None] | (np.abs(l2) < 1e-12)[None, :]
     for fam in families:
         if fam.kind == "integer-lattice":
@@ -276,7 +331,8 @@ def test_scan_in_small_row_groups_equals_dense_scan(monkeypatch, t, tp, box):
 
 
 def test_scan_skips_cells_whose_residual_is_nan():
-    # far out, pi (2t+1) l overflows and the phase factor of a cell is NaN
+    # far out, where a float phase pi (2t+1) l once overflowed to NaN, the
+    # exactly reduced kernel keeps every cell finite, so none is skipped
     with np.errstate(all="ignore"):
         r = scan_residual(Fraction(1, 7), Fraction(2, 9), ((-1e307, 1e307), (-1, 1)), 64)
     assert math.isfinite(r.min_residual)
@@ -286,14 +342,14 @@ def test_scan_skips_cells_whose_residual_is_nan():
 @pytest.mark.parametrize(
     "t,tp,min_residual,argmin",
     [
-        (Fraction(-1, 3), Fraction(-1, 3), 1.9999723913689314e-06, (-3.003, 2.997)),
-        (Fraction(-3, 8), Fraction(-3, 8), 3.138454629494815e-06, (-1.001, 3.003)),
-        (Fraction(-1, 2), Fraction(-1), 3.13845462949434e-06, (-3.003, -1.001)),
-        (Fraction(0), Fraction(0), 1.9999723913688835e-06, (-3.003, 2.997)),
+        (Fraction(-1, 3), Fraction(-1, 3), 1.9999723912908663e-06, (-3.003, 2.997)),
+        (Fraction(-3, 8), Fraction(-3, 8), 3.138454629495601e-06, (-3.003, 1.001)),
+        (Fraction(-1, 2), Fraction(-1), 3.1384546294954704e-06, (-3.003, -1.001)),
+        (Fraction(0), Fraction(0), 1.9999723912908104e-06, (-3.003, 2.997)),
     ],
 )
 def test_production_grid_scans_are_unchanged(t, tp, min_residual, argmin):
-    # recorded from the dense scan of every cell, before the pruned search
+    # recorded from ``dense_scan`` of every cell, run in blocks of rows to bound memory
     r = scan_residual(t, tp, ((-4, 4), (-4, 4)), 4000)
     assert r.min_residual == min_residual
     assert r.argmin == argmin
@@ -313,6 +369,15 @@ def test_classify_odd_case_density():
     assert c.projection_step == Fraction(3, 2)
     assert c.density_exact == Fraction(2, 3)
     assert abs(c.density_window_estimate - 2 / 3) <= 1 / 100 + 1e-12
+
+
+@pytest.mark.parametrize("a", [1, 3, 7])
+@pytest.mark.parametrize("window", [0.5, 10.0, 100.0, 12345.678])
+def test_classify_estimate_is_that_of_the_exact_progression(a, window):
+    c = classify_spectrum_candidates(Fraction(1 - a, 2 * a), window=window)
+    half_count = math.ceil(4 * window / a) + 1
+    exact = [Fraction(a, 2) * j for j in range(-half_count, half_count + 1)]
+    assert c.density_window_estimate == lower_beurling_density(exact, window)
 
 
 def test_classify_even_case_empty():
