@@ -90,6 +90,9 @@ def _parse_box(text: str):
         x0, x1, y0, y1 = (float(p) for p in parts)
     except ValueError as exc:
         raise MalformedInputError(f"bad box {text!r}") from exc
+    # a box past the float range stays float, for scan_residual to reject
+    if abs(x1 - x0) <= sys.float_info.max and abs(y1 - y0) <= sys.float_info.max:
+        x0, x1, y0, y1 = map(as_fraction, parts)  # exact: 0.37 is 37/100
     return ((x0, x1), (y0, y1))
 
 

@@ -15,10 +15,12 @@ to fabricated families.
 The residual |ft(U[t], l1) + ft(U[t'], l2)| is ``measures``' transform
 kernel at exact points, so it reads exactly 0 on the families, and at a
 lattice cell (two integer frequencies) of an unsolved scan box.  A residual
-scan evaluates only the grid cells that can hold its minimum, and is exact:
-a sampled unmasked cell bounds the minimum, and |z| >= |Re z| puts every
-cell under that bound in one searchable run of each grid row.  Exact ties
-go to the first cell in grid order.
+scan takes its box exactly, skips the cells on the axes and in closed balls
+of radius 1/1000 about the family members, decided on integers, and
+evaluates only the grid cells that can hold its minimum: a sampled unmasked
+cell bounds the minimum, and |z| >= |Re z| puts every cell under that bound
+in one searchable run of each grid row.  Exact ties go to the first cell in
+grid order.
 numpy is imported inside the functions that compute with it, so importing
 this module loads none.
 """
@@ -33,12 +35,11 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import MalformedInputError, MultiplicityOneViolation, UnsolvedCaseError
 from .exponents import lower_beurling_density
-from .measures import IntervalUnionMeasure, as_fraction, exact_grid
+from .measures import INT64_SAFE, IntervalUnionMeasure, as_fraction, exact_grid
 from .measures import fourier_transform, transform_rows
 
-FAMILY_TOL = 1e-12
 SCAN_ROOT_TOL = 1e-6
-EXCLUSION_RADIUS = 1e-3
+EXCLUSION_RADIUS = Fraction(1, 1000)
 SCAN_SAMPLE = 64  # rows and columns of the subgrid that bounds the residual scan
 SCAN_GROUP = 1 << 20  # most candidate cells the residual scan evaluates at once
 CLASSIFY_POINTS = 10**6  # most candidate points a density estimate builds
@@ -56,8 +57,9 @@ def residual(t, t_prime, l1, l2) -> float:
 class OrthSolutionFamily:
     """Parametrized solutions (l1, l2) of the orthogonality constraint.
 
-    integer-lattice families range over all pairs of nonzero integers;
-    antidiagonal families have l1 = offset + step*n with l2 = -l1 forced.
+    Each coordinate is a nonzero offset + step n.  A sign-coupled family
+    (antidiagonal) pairs l1 with l2 = -l1, the same n; the integer lattice
+    pairs any two coordinates.
     """
 
     kind: str
@@ -85,23 +87,24 @@ class OrthSolutionFamily:
             for l1 in (self.offset + self.step * j, self.offset - self.step * j):
                 yield l1, -l1
 
-    def near_mask(self, l1: np.ndarray, l2: np.ndarray, radius: float) -> np.ndarray:
-        """Elementwise mask of points within ``radius`` (sup norm) of a member.
-
-        ``near_mask(l1[:, None], l2[None, :], r)`` masks a whole grid.
-        """
+    def near(self, x, den: int, axis: int):
+        """(near, index) at each point x / den of axis 0 or 1, ``x`` integers: whether
+        a member coordinate lies within EXCLUSION_RADIUS, and its n (0 if uncoupled)."""
         import numpy as np
 
-        if self.kind == "integer-lattice":
-            r1 = np.round(l1)
-            r2 = np.round(l2)
-            n1 = (np.abs(l1 - r1) <= radius) & (r1 != 0)
-            return n1 & (np.abs(l2 - r2) <= radius) & (r2 != 0)
-        off = float(self.offset)
-        st = float(self.step)
-        m = off + st * np.round((l1 - off) / st)
-        n1 = (np.abs(l1 - m) <= radius) & (m != 0)
-        return n1 & (np.abs(l2 + m) <= radius)
+        (op, oq), (sp, sq) = self.offset.as_integer_ratio(), self.step.as_integer_ratio()
+        rp, rq = EXCLUSION_RADIUS.as_integer_ratio()
+        x = -x if axis and self.sign_coupled else x
+        # x / den - offset = step N / M: n = round(N / M) lies step |N - M n| / M
+        # away; (2 + rq) top bounds every product below
+        M = den * oq * sp
+        top = (int(abs(x).max()) * oq + abs(op) * den + den * oq) * sq + M
+        if x.dtype != object and (2 + rq) * top >= INT64_SAFE:
+            x = x.astype(object)
+        N = (x * oq - op * den) * sq
+        n = (2 * N + M) // (2 * M)
+        near = (rq * abs(N - M * n) <= rp * sq * den * oq) & (op * sq + oq * sp * n != 0)
+        return near, n if self.sign_coupled else np.zeros_like(n)
 
 
 INTEGER_LATTICE = OrthSolutionFamily(kind="integer-lattice")
@@ -168,14 +171,12 @@ def scan_residual(
 ) -> ScanResult:
     """Minimum residual over a cell-centered grid, outside family neighborhoods.
 
-    A cell's residual is the transform kernel's at its exact centre, and the
-    centre is reported rounded once.
-    Family neighborhoods are closed sup-norm balls of radius EXCLUSION_RADIUS;
-    the radius gets a one-part-in-10^9 slack so boundary ties resolve the same
-    way regardless of rounding in the grid coordinates.  Cells on the
-    coordinate axes (a zero frequency difference) are always skipped, and so
-    are cells whose residual is NaN.  The argmin tie-break is lexicographic in
-    the grid index (i, j).
+    The box corners are taken exactly (a float by its binary value).  A cell
+    is skipped when its exact centre lies on a coordinate axis or in the
+    closed sup-norm ball of exact radius EXCLUSION_RADIUS about a family
+    member, both decided on the centres' integer numerators; any other gets
+    the transform kernel's residual there, its centre reported rounded once.
+    The argmin tie-break is lexicographic in the grid index (i, j).
 
     Only cells that can hold the minimum are evaluated, and the result is the
     dense scan's bit for bit.  ``tau``, the least unmasked residual on a
@@ -191,20 +192,16 @@ def scan_residual(
 
     if grid < 2:
         raise MalformedInputError("grid must be >= 2")
-    t = as_fraction(t)
-    tp = as_fraction(t_prime)
+    t, tp = as_fraction(t), as_fraction(t_prime)
     if families is None:
         families = solve_families(t, tp)
     (x0, x1), (y0, y1) = box
-    # an infinite or NaN corner, or a width past the float range, leaves a
-    # non-finite width
-    if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+    # an infinite or NaN corner, or a width past the float range, fails
+    if not (abs(x1 - x0) <= np.finfo(float).max and abs(y1 - y0) <= np.finfo(float).max):
         raise MalformedInputError(f"scan box must be finite, got {box}")
     if not (x1 > x0 and y1 > y0):
         raise MalformedInputError("degenerate scan box")
-    radius = EXCLUSION_RADIUS * (1 + 1e-9)
-    # centres lo + (2i+1)(hi-lo)/(2 grid) over den, int64 below 2^53, where numpy's
-    # true division rounds once as Python's does; the kernel reads them against 0
+    # centres lo + (2i+1)(hi-lo)/(2 grid) over den, int64 below 2^53, read against 0
     corners, D = exact_grid([x0, x1, y0, y1])
     den = 2 * grid * D
     axes = []
@@ -214,14 +211,14 @@ def scan_residual(
         x = 2 * grid * lo + odd * (hi - lo)
         rows = transform_rows(IntervalUnionMeasure.unit_interval(s), np.append(x, 0), den)
         ft = rows(slice(0, grid), slice(grid, None), np.empty((grid, 1), dtype=complex))
-        axes.append((np.asarray(x / den, dtype=float), ft[:, 0]))
-    (l1s, p1), (l2s, p2) = axes
+        axes.append((x, ft[:, 0]))
+    (x1s, p1), (x2s, p2) = axes
+    near = [(fam.near(x1s, den, 0), fam.near(x2s, den, 1)) for fam in families]
 
     def masked(i, j, r):
-        a, b = l1s[i], l2s[j]
-        mask = (np.abs(a) < 1e-12) | (np.abs(b) < 1e-12) | np.isnan(r)
-        for fam in families:
-            mask = mask | fam.near_mask(a, b, radius)
+        mask = (x1s[i] == 0) | (x2s[j] == 0)
+        for (n1, k1), (n2, k2) in near:
+            mask = mask | (n1[i] & n2[j] & (k1[i] == k2[j]))
         return np.where(mask, np.inf, r)
 
     s = np.arange(0, grid, max(1, grid // SCAN_SAMPLE))
@@ -233,8 +230,7 @@ def scan_residual(
     counts = np.searchsorted(re2, -p1.real + reach, "right") - lo
     ends = np.cumsum(counts)
     shift = lo - ends + counts  # the k-th candidate overall, in row i, is order[k + shift[i]]
-    best = math.inf
-    arg = (math.nan, math.nan)
+    best, arg = math.inf, (math.nan, math.nan)
     row = 0
     while row < grid:
         first = ends[row] - counts[row]
@@ -250,7 +246,7 @@ def scan_residual(
         if val < best:
             best = val
             cell = int((i * grid + j)[r == val].min())
-            arg = (float(l1s[cell // grid]), float(l2s[cell % grid]))
+            arg = (int(x1s[cell // grid]) / den, int(x2s[cell % grid]) / den)
         row = stop
     return ScanResult(
         t=t,

@@ -21,6 +21,7 @@ from addspec import (
     scan_residual,
     solve_families,
 )
+from addspec.cli import _parse_box
 from addspec.errors import (
     MalformedInputError,
     MultiplicityOneViolation,
@@ -30,7 +31,6 @@ from addspec.measures import transform_rows
 from addspec.ortho_solver import (
     CLASSIFY_POINTS,
     EXCLUSION_RADIUS,
-    FAMILY_TOL,
     INTEGER_LATTICE,
     SCAN_ROOT_TOL,
 )
@@ -144,7 +144,7 @@ def test_families_for_each_case():
 def test_first_hundred_members_solve_the_equation(t, tp):
     for fam in solve_families(t, tp):
         for l1, l2 in fam.members(100):
-            assert residual(t, tp, float(l1), float(l2)) < FAMILY_TOL
+            assert residual(t, tp, float(l1), float(l2)) == 0.0
             if fam.sign_coupled:
                 assert l2 == -l1
 
@@ -209,35 +209,47 @@ def test_scan_is_deterministic():
     assert a == b
 
 
+def nearest_member(fam, l, sign=1):
+    """The nonzero coordinate sign * (offset + step n) of a member nearest the
+    Fraction ``l``, if it lies within EXCLUSION_RADIUS, else None."""
+    m = sign * (fam.offset + fam.step * round((sign * l - fam.offset) / fam.step))
+    return m if m != 0 and abs(l - m) <= EXCLUSION_RADIUS else None
+
+
+def excluded(fam, l1, l2):
+    """Whether the exact point (l1, l2) lies in the closed sup-norm ball of
+    radius EXCLUSION_RADIUS about a member of ``fam``."""
+    m1, m2 = nearest_member(fam, l1), nearest_member(fam, l2, -1 if fam.sign_coupled else 1)
+    return None not in (m1, m2) and (m2 == -m1 or not fam.sign_coupled)
+
+
 def dense_scan(t, tp, box, grid, families):
     """Every cell of the grid at once: (min residual, argmin), first index on ties.
 
     Each axis's exact centres, as Python ints over 2 grid D, get the library
-    kernel's transform, one ``transform_rows`` column against 0."""
-    radius = EXCLUSION_RADIUS * (1 + 1e-9)
+    kernel's transform, one ``transform_rows`` column against 0; the axes and
+    the exclusion balls are decided on the centres as Fractions."""
     den = 2 * grid * math.lcm(*(Fraction(v).denominator for side in box for v in side))
 
     def axis(s, lo, hi):
         lo, hi = Fraction(lo), Fraction(hi)
-        nums = [int((lo + (2 * i + 1) * (hi - lo) / (2 * grid)) * den) for i in range(grid)]
-        x = np.array(nums + [0], dtype=object)
+        exact = [lo + (2 * i + 1) * (hi - lo) / (2 * grid) for i in range(grid)]
+        x = np.array([int(c * den) for c in exact] + [0], dtype=object)
         rows = transform_rows(IntervalUnionMeasure.unit_interval(s), x, den)
         ft = rows(slice(0, grid), slice(grid, None), np.empty((grid, 1), dtype=complex))
-        return np.array([float(Fraction(n, den)) for n in nums]), ft[:, 0]
+        return exact, ft[:, 0]
 
     (l1, p1), (l2, p2) = axis(t, *box[0]), axis(tp, *box[1])
     r = np.abs(p1[:, None] + p2[None, :])
-    mask = (np.abs(l1) < 1e-12)[:, None] | (np.abs(l2) < 1e-12)[None, :]
+    mask = np.array([c == 0 for c in l1])[:, None] | np.array([c == 0 for c in l2])[None, :]
     for fam in families:
-        if fam.kind == "integer-lattice":
-            n1 = (np.abs(l1 - np.round(l1)) <= radius) & (np.round(l1) != 0)
-            n2 = (np.abs(l2 - np.round(l2)) <= radius) & (np.round(l2) != 0)
-            mask |= n1[:, None] & n2[None, :]
-        else:
-            off, st_ = float(fam.offset), float(fam.step)
-            m = off + st_ * np.round((l1 - off) / st_)
-            near = (np.abs(l1 - m) <= radius) & (m != 0)
-            mask |= near[:, None] & (np.abs(l2[None, :] + m[:, None]) <= radius)
+        # only rows and columns near a member coordinate can hold an excluded cell
+        sign = -1 if fam.sign_coupled else 1
+        rows = [i for i, c in enumerate(l1) if nearest_member(fam, c) is not None]
+        cols = [j for j, c in enumerate(l2) if nearest_member(fam, c, sign) is not None]
+        for i in rows:
+            for j in cols:
+                mask[i, j] |= excluded(fam, l1[i], l2[j])
     r[mask] = np.inf
     k = int(np.argmin(r))
     if r.flat[k] == np.inf:
@@ -330,13 +342,89 @@ def test_scan_in_small_row_groups_equals_dense_scan(monkeypatch, t, tp, box):
     assert math.isfinite(assert_scan_matches_dense(t, tp, box, 300).min_residual)
 
 
-def test_scan_skips_cells_whose_residual_is_nan():
+def test_far_box_gives_finite_residuals():
     # far out, where a float phase pi (2t+1) l once overflowed to NaN, the
-    # exactly reduced kernel keeps every cell finite, so none is skipped
+    # exactly reduced kernel keeps every cell's residual finite
     with np.errstate(all="ignore"):
         r = scan_residual(Fraction(1, 7), Fraction(2, 9), ((-1e307, 1e307), (-1, 1)), 64)
     assert math.isfinite(r.min_residual)
     assert all(math.isfinite(v) for v in r.argmin)
+
+
+def exact_centre(box, grid, arg):
+    """The exact cell centre that ``arg``, a reported argmin, rounds."""
+    centre = []
+    for (lo, hi), v in zip(box, arg):
+        lo, hi = Fraction(lo), Fraction(hi)
+        i = round((Fraction(v) - lo) * grid / (hi - lo) - Fraction(1, 2))
+        centre.append(lo + (2 * i + 1) * (hi - lo) / (2 * grid))
+        assert float(centre[-1]) == v
+    return tuple(centre)
+
+
+def test_far_box_excludes_its_boundary_cell():
+    # (100002.999, -100003.001) lies exactly 1/1000 from the lattice point
+    # (100003, -100003); float centres once put it just outside the ball
+    box = ((100000, 100004), (-100004, -100000))
+    r = scan_residual(0, 0, box, 2000)
+    assert r.argmin != (100002.999, -100003.001)
+    assert excluded(INTEGER_LATTICE, Fraction(100002999, 1000), Fraction(-100003001, 1000))
+    centre = exact_centre(box, 2000, r.argmin)
+    assert not any(excluded(fam, *centre) for fam in solve_families(0, 0))
+
+
+FAR = 3 * 10**15 + Fraction(3, 2)  # an antidiagonal coordinate for a = 3, past 2^53
+
+
+@pytest.mark.parametrize(
+    "t,tp,centre,empty",
+    [
+        (0, 0, (2, -2), True),
+        (0, 0, (Fraction(1, 2), Fraction(-1, 2)), True),
+        (0, 0, (100002, -100002), True),
+        (0, 0, (10**12 + Fraction(1, 2), -(10**12) - Fraction(1, 2)), True),
+        (Fraction(-1, 3), Fraction(-1, 3), (FAR, -FAR), True),
+        (Fraction(-1, 2), -1, (-(10**9), 7), True),
+        # l1 and -l2 are antidiagonal coordinates of two different members
+        (0, 0, (Fraction(1, 2), Fraction(1, 2)), False),
+        (0, 0, (Fraction(1, 2), Fraction(-3, 2)), False),
+        (Fraction(-1, 3), Fraction(-1, 3), (Fraction(3, 2), Fraction(-9, 2)), False),
+    ],
+)
+def test_exclusion_balls_are_closed_and_pair_coordinates_by_member(t, tp, centre, empty):
+    # grid 3 on a box 3/1000 wide puts the centres at c - 1/1000, c, c + 1/1000
+    half = 3 * EXCLUSION_RADIUS / 2
+    box = tuple((c - half, c + half) for c in centre)
+    r = assert_scan_matches_dense(t, tp, box, 3)
+    assert (r.min_residual == math.inf) == empty
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_scan_keeps_nonzero_cells_next_to_the_axes(swap):
+    # the cells at l2 = 1e-13 and 3e-13 are no zero frequency difference
+    t, tp, box = Fraction(-1, 2), Fraction(1), ((1.3, 1.6), (0, Fraction(4, 10**13)))
+    if swap:
+        t, tp, box = tp, t, box[::-1]
+    r = assert_scan_matches_dense(t, tp, box, 2)
+    assert math.isfinite(r.min_residual)
+    assert (r.argmin[0] if swap else r.argmin[1]) in (1e-13, 3e-13)
+
+
+def test_decimal_box_is_exact_and_its_scan_runs_on_int64(monkeypatch):
+    box = _parse_box("0.37,8.37,-5.21,2.79")
+    exact = ((Fraction(37, 100), Fraction(837, 100)), (Fraction(-521, 100), Fraction(279, 100)))
+    assert box == exact
+    assert all(type(v) is Fraction for side in box for v in side)
+    dtypes = []
+
+    def recording(m, grid, D, *rest):
+        dtypes.append(grid.dtype)
+        return transform_rows(m, grid, D, *rest)
+
+    monkeypatch.setattr(ortho_solver, "transform_rows", recording)
+    r = scan_residual(Fraction(2, 7), Fraction(-3, 5), box, 4000)
+    assert dtypes == [np.int64, np.int64]
+    assert r.argmin == (5.979, -1.993)
 
 
 @pytest.mark.parametrize(
