@@ -67,7 +67,6 @@ _EXPORTS = {
         "assemble",
         "collinear_failure_demo",
         "combination_norm_sq",
-        "constant_pair",
         "extremal_eigenvalues",
         "identity_deviation",
         "monomial_pair",

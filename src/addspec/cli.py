@@ -166,7 +166,7 @@ def _cmd_gram(args: argparse.Namespace):
         }
     if args.parseval:
         fams = [
-            ("constant", _cli.constant_pair(space)),
+            ("constant", _cli.monomial_pair(space, 0, 0)),
             ("linear", _cli.monomial_pair(space, 1, 1)),
             ("cubic", _cli.monomial_pair(space, 3, 3)),
         ]

@@ -20,25 +20,22 @@ from .exponents import ExponentPair, ExponentSet, ZigzagPath
 from .measures import IntervalUnionMeasure, as_fraction, support_bounds
 
 
-def staircase_zigzag(length: int, start=(0, 0), first_move: str = "zag") -> ZigzagPath:
-    """Monotone staircase zigzag of the given length, one unit per move."""
+def staircase_zigzag(length: int, start=(0, 0)) -> ZigzagPath:
+    """Monotone staircase zigzag of the given length from ``start``, one unit
+    per move: a zag (a unit step up) first, then zigs (steps right) and zags
+    in turn."""
     if length < 0:
         raise MalformedInputError("length must be non-negative")
     x = as_fraction(start[0])
     y = as_fraction(start[1])
     verts = [ExponentPair(x, y)]
-    move = first_move
-    for _ in range(length):
-        if move == "zag":
-            y += 1
-            move = "zig"
-        elif move == "zig":
+    for i in range(length):
+        if i % 2:
             x += 1
-            move = "zag"
         else:
-            raise MalformedInputError(f"first_move must be 'zig' or 'zag', got {first_move!r}")
+            y += 1
         verts.append(ExponentPair(x, y))
-    return ZigzagPath(tuple(verts), first_move if length else None)
+    return ZigzagPath(tuple(verts))
 
 
 @dataclass(frozen=True)

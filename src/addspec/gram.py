@@ -156,8 +156,9 @@ def _aligned_phases(s: AdditiveSpace, x, y):
     ft_x/2 + e^{2 pi i (phi_p - phi_q)} ft_y/2 with real ft's and
     phi_p = b_p c_y - a_p c_x, so it is real for every pair exactly when
     2 phi_p mod 1 is the same for every point.  That is decided in integers
-    on the axes' exact grids: 2 a_p c_x mod 1 is the residue of the
-    numerator times 2 c_x / D_x.  A doubled non-overlap spectrum fails it.
+    on the axes' exact grids: 2 a_p c_x mod 1 is k_x / (4 q_x) for the quarter
+    turns k_x of the numerator at h_x = 2 c_x / D_x, compared modulo 4L over
+    L = lcm(q_x, q_y).  A doubled non-overlap spectrum fails it.
     """
     import numpy as np
 
@@ -169,9 +170,9 @@ def _aligned_phases(s: AdditiveSpace, x, y):
     k_x, k_y = residues(grid_x, h_x), residues(grid_y, h_y)
     q_x, q_y = h_x.denominator, h_y.denominator
     L = math.lcm(q_x, q_y)
-    if L >= INT64_SAFE:
+    if 4 * L >= INT64_SAFE:
         k_x, k_y = k_x.astype(object), k_y.astype(object)
-    phi = (k_y * (L // q_y) - k_x * (L // q_x)) % L
+    phi = (k_y * (L // q_y) - k_x * (L // q_x)) % (4 * L)
     return None if np.any(phi != phi[0]) else unit_phase(grid_x, c_x / D_x)
 
 
@@ -494,15 +495,8 @@ def alternating_zigzag_norm(s: AdditiveSpace, z: ZigzagPath) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Test-function family: constants, low monomials, seeded piecewise-linear.
+# Test-function family: monomials (degree 0 is 1), seeded piecewise-linear.
 # ---------------------------------------------------------------------------
-
-
-def constant_pair(s: AdditiveSpace, value=1.0):
-    return (
-        PiecewisePolynomial.constant(support_intervals(s.mu), value),
-        PiecewisePolynomial.constant(support_intervals(s.nu), value),
-    )
 
 
 def monomial_pair(s: AdditiveSpace, degree_x: int, degree_y: int):
@@ -548,7 +542,9 @@ def collinear_failure_demo(a, N: int, g=None, seed: int = 0) -> CollinearFailure
     no matter how many line points are used.
 
     ``g`` is a PiecewisePolynomial on [-1/2, 1/2], the string "random" for a
-    seeded piecewise-linear draw, or None for the constant 1.
+    seeded piecewise-linear draw, or None for the constant 1.  A slope whose
+    rescaled g or its norms leave the float range (from about 5e-78 down for
+    a linear g) raises MalformedInputError.
     """
     import numpy as np
 
@@ -566,6 +562,9 @@ def collinear_failure_demo(a, N: int, g=None, seed: int = 0) -> CollinearFailure
             raise MalformedInputError(f"unknown test function {g!r}")
         rng = np.random.default_rng(seed)
         g = random_piecewise_linear(support_intervals(s.nu), rng)
+    too_small = f"slope {a} is too small: the rescaled test function leaves the float range"
+    if any(float(a) ** len(coeffs) == 0 for _, _, coeffs in g.pieces):
+        raise MalformedInputError(too_small)
     g_rescaled = PiecewisePolynomial(
         tuple(
             (
@@ -579,9 +578,12 @@ def collinear_failure_demo(a, N: int, g=None, seed: int = 0) -> CollinearFailure
     f = g_rescaled.negated()
     p, q = a.numerator, a.denominator
     line = [ExponentPair._exact(Fraction(n), Fraction(p * n, q)) for n in range(-N, N + 1)]
-    coeffs = frame_coefficients(s, (f, g), line)
-    frame_sum = float(np.sum(np.abs(coeffs) ** 2))
-    energy = pair_norm_sq(s, (f, g))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = frame_coefficients(s, (f, g), line)
+        frame_sum = float(np.sum(np.abs(coeffs) ** 2))
+        energy = pair_norm_sq(s, (f, g))
+    if not (math.isfinite(frame_sum) and math.isfinite(energy)):
+        raise MalformedInputError(too_small)
     if energy <= 0:
         raise MalformedInputError("test function is numerically zero")
     return CollinearFailureReport(

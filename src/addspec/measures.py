@@ -9,11 +9,14 @@ the closed form
 
 with S(z) = sin(z)/z.  ``transform_rows`` evaluates it at the differences
 (x_i - x_j)/D of a grid of integers over a common denominator D, the one
-``exact_grid`` makes of exact values, with every phase reduced mod 1 in
-integer arithmetic (``residues``) and folded to a quarter turn before it is
-rounded (``quarter_sine``), so each value is a few ulps from exact however
-far the frequency or the support sits from 0, and exactly 0 where the sine
-has a zero.
+``exact_grid`` makes of exact values.  Every phase x h mod 1 is reduced in
+integer arithmetic to a count of quarter turns (``residues``) and folded to
+a quarter turn at most before it is rounded (``quarter_sine``), so each
+value is a few ulps from exact however far the frequency or the support
+sits from 0, and exactly 0 where the sine has a zero.  ``residues`` is the
+one place that picks int64 or Python ints for those reductions, for h = p/q:
+int64 while 4 max(1, max|x|) q < 2^62, where the 1 keeps p mod q itself in
+range on an all-zero grid.
 
 ``Frozen`` gives this module's measure and ``exponents``' value classes
 what a frozen dataclass would, without importing ``dataclasses`` (which
@@ -183,19 +186,21 @@ def exact_grid(values) -> Tuple[np.ndarray, int]:
 
 
 def residues(x, h: Fraction):
-    """x p mod q, exactly, for each integer of the array ``x`` (h = p/q).
+    """4 (x p mod q), the quarter turns of x h mod 1, exactly, for each
+    integer of the array ``x`` (h = p/q).
 
-    Products are int64 while |x| q < 2^62 (p is reduced mod q first), else
-    Python ints, as are those of an object array; residues are int64 if
-    q < 2^62.
+    The one int64 rule of the phase reductions: ``x`` becomes Python ints
+    once 4 max(1, max|x|) q reaches 2^62 (p is reduced mod q first), and the
+    result is int64 whenever 4q < 2^62.  The max(1, ...) widens an all-zero
+    grid too, whose products are 0 but whose p mod q may not fit int64.
     """
     import numpy as np
 
     q = h.denominator
-    if x.dtype == object or int(np.abs(x).max(initial=0)) * q >= INT64_SAFE:
+    if x.dtype == object or 4 * max(1, int(np.abs(x).max(initial=0))) * q >= INT64_SAFE:
         x = x.astype(object)
-    k = x * (h.numerator % q) % q
-    return k if q >= INT64_SAFE else k.astype(np.int64, copy=False)
+    k = 4 * (x * (h.numerator % q) % q)
+    return k if 4 * q >= INT64_SAFE else k.astype(np.int64, copy=False)
 
 
 def quarter_sine(m, q: int):
@@ -218,20 +223,15 @@ def quarter_sine(m, q: int):
     return np.sin(x, out=x)
 
 
-def _times_four(k, q: int):
-    """4k for residues k mod q, as Python ints once 4q reaches 2^62."""
-    return 4 * (k.astype(object) if 4 * q >= INT64_SAFE else k)
-
-
 def unit_phase(nums, h: Fraction):
     """exp(2 pi i x h) at each integer x of ``nums``: cosine and sine from
-    the exact residue of x h mod 1 (``quarter_sine``), so quarter turns give
-    exactly 0, +-1 and +-i."""
+    the exact quarter turns of x h mod 1 (``residues``, ``quarter_sine``), so
+    quarter turns give exactly 0, +-1 and +-i."""
     import numpy as np
 
     q = h.denominator
     # cosine and sine side by side, so each row reads as one complex number
-    m = _times_four(residues(nums, h), q)[..., None] + np.array((2 * q, q))
+    m = residues(nums, h)[..., None] + np.array((2 * q, q))
     return quarter_sine(m, q).view(complex)[..., 0]
 
 
@@ -256,7 +256,7 @@ def transform_rows(m: IntervalUnionMeasure, grid, D: int, scale: float = 1.0):
     for l, r, w in m.pieces:
         h = (r - l) / (2 * D)
         q = h.denominator
-        k4 = _times_four(residues(grid, h), q)
+        k4 = residues(grid, h)
         u = unit_phase(grid, (l + r) / (2 * D))
         pieces.append((scale * float(w), u, k4 + q, k4, q, float(r - l)))
 

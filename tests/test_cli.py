@@ -452,6 +452,9 @@ def test_non_finite_inputs_are_malformed(tmp_path, argv, message):
     assert err == {"error": {"code": "malformed-input", "message": message}}
 
 
+TOO_SMALL = "is too small: the rescaled test function leaves the float range"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -466,6 +469,9 @@ def test_non_finite_inputs_are_malformed(tmp_path, argv, message):
          "need at least one anchor"),
         (["solve-oe", "--space", "L", "--classify", "--window", "1e9"],
          "window 1000000000.0 needs 8e+09 candidate points, more than 1000000"),
+        # the random g's norms overflow; its rescale divides by a^2 = 0.0
+        (["demo-collinear", "--a", "5e-78"], f"slope {Fraction('5e-78')} {TOO_SMALL}"),
+        (["demo-collinear", "--a", "1e-200"], f"slope {Fraction('1e-200')} {TOO_SMALL}"),
     ],
 )
 def test_out_of_range_inputs_are_malformed(tmp_path, argv, message):
@@ -480,6 +486,13 @@ def test_demo_collinear_single_point(tmp_path):
     for key in ("constant_g", "random_g"):
         assert report["body"][key]["n_points"] == 1
         assert report["body"][key]["ratio"] < 1e-10
+
+
+def test_demo_collinear_runs_down_to_the_float_range(tmp_path):
+    code, report = run_json(tmp_path, ["demo-collinear", "--a", "1e-77"])
+    assert code == 0
+    for key in ("constant_g", "random_g"):
+        assert report["body"][key]["ratio"] < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +512,6 @@ DEFERRED = {
     "gram": (
         "assemble",
         "collinear_failure_demo",
-        "constant_pair",
         "identity_deviation",
         "monomial_pair",
         "parseval_residual",

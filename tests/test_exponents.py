@@ -793,7 +793,8 @@ def test_staircase_constructor_vertices(staircase_8):
         ("1", "1"), ("1", "2"), ("2", "2"), ("2", "3"),
         ("3", "3"), ("3", "4"), ("4", "4"), ("4", "5"),
     ]
-    assert staircase_zigzag(0).length == 0
+    assert staircase_8.starts_with == "zag"
+    assert staircase_zigzag(0).length == 0 and staircase_zigzag(0).starts_with is None
 
 
 def test_point_set_json():

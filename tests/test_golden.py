@@ -115,6 +115,20 @@ def test_report_matches_golden(case, tmp_path):
     check_case(case, tmp_path)
 
 
+@pytest.mark.parametrize("points", [[["1", "0"], ["1", "1"], ["2", "2"]],
+                                    [["0", "0"], ["0", "1"], ["0", "2"]]])
+def test_symmetric_t_3_pow_minus_50_matches_l(points, tmp_path):
+    """t = 3^-50, about 1.4e-24, is L to within FLOAT_RTOL, though every
+    reduction on its denominator runs on Python ints."""
+    bodies = []
+    for space in (f"Symmetric:t=1/{3**50}", "L"):
+        body = run_case({"points": points, "argv": ["gram", "--space", space, "--parseval"]},
+                        tmp_path)
+        assert body.pop("space") == space
+        bodies.append(body)
+    assert_same_body(*bodies)
+
+
 def regenerate():
     """Rewrite every expected body but the references' and print a unified
     diff of the changes."""

@@ -44,7 +44,6 @@ from addspec.gram import (
     ROW_BLOCK,
     GramMatrix,
     _half_rows,
-    constant_pair,
     monomial_pair,
     random_piecewise_linear,
 )
@@ -809,7 +808,7 @@ def test_odd_cycle_returns_and_is_no_split():
 def test_parseval_constant_is_exact():
     s = l_space()
     for N in (0, 2, 6):
-        r = parseval_residual(s, l_space_onb(N).points, constant_pair(s))
+        r = parseval_residual(s, l_space_onb(N).points, monomial_pair(s, 0, 0))
         assert abs(r) < 1e-12
 
 
@@ -851,7 +850,7 @@ def test_parseval_builds_few_quadrature_rules():
     # the integrals are exact moments: no Gauss-Legendre rule is built
     s = l_space()
     pairs = l_space_onb(32).points
-    for fn in (constant_pair(s), monomial_pair(s, 1, 1), monomial_pair(s, 3, 3)):
+    for fn in (monomial_pair(s, 0, 0), monomial_pair(s, 1, 1), monomial_pair(s, 3, 3)):
         _leggauss.cache_clear()
         parseval_residual(s, pairs, fn)
         assert _leggauss.cache_info().misses == 0
@@ -886,7 +885,7 @@ def test_parseval_residuals_match_mpmath_reference(mp_integral, space, points):
     # with it above 100
     s = space_from_name(space)
     pairs = l_space_onb(64).points if points == "onb" else ExponentSet.of(points).points
-    fams = (constant_pair(s), monomial_pair(s, 1, 1), monomial_pair(s, 3, 3))
+    fams = (monomial_pair(s, 0, 0), monomial_pair(s, 1, 1), monomial_pair(s, 3, 3))
     for f, g in fams:
         with mpmath.workdps(40):
             frame = mpmath.fsum(

@@ -15,7 +15,9 @@ from addspec.additive_space import (
     ExponentPair, PiecewisePolynomial, exp_inner, l_space, measure_integral,
 )
 from addspec.errors import MalformedInputError
-from addspec.measures import INT64_SAFE, as_fraction, exact_grid, transform_rows
+from addspec.measures import (
+    INT64_SAFE, as_fraction, exact_grid, residues, transform_rows, unit_phase,
+)
 
 
 def quad_transform(m, lam):
@@ -133,6 +135,21 @@ def test_near_half_turns_keep_their_digits(k):
         want = complex(mpmath.exp(1j * z) * mpmath.sin(z) / z)
     got = fourier_transform(m, lam)
     assert abs(got - want) <= 4e-16 * abs(want)
+
+
+@pytest.mark.parametrize("q", [2**60 - 1, 2**60, 2**62, 2**64 + 13, 3**50, 2**80])
+def test_all_zero_grids_widen_by_the_denominator(q):
+    # every product x p is 0, but p mod q = q - 1 itself can leave int64:
+    # the rule reads 4 max(1, max|x|) q, and the residues are int64 iff 4q < 2^62
+    zeros = np.zeros(3, dtype=np.int64)
+    k = residues(zeros, Fraction(q - 1, q))
+    assert k.dtype == (np.int64 if 4 * q < INT64_SAFE else object)
+    assert k.tolist() == [0, 0, 0]
+    assert unit_phase(zeros, Fraction(q - 1, q)).tolist() == [1, 1, 1]
+
+
+def test_zero_frequency_is_one_at_a_denominator_past_int64():
+    assert fourier_transform(IntervalUnionMeasure.unit_interval(Fraction(1, 3**50)), 0) == 1
 
 
 def test_rejects_non_finite_frequency(unit_measure):

@@ -373,6 +373,24 @@ def test_far_box_excludes_its_boundary_cell():
     assert not any(excluded(fam, *centre) for fam in solve_families(0, 0))
 
 
+def test_far_box_widens_the_exclusion_bounds_past_int64(monkeypatch):
+    # the centres stay int64, 400 (2e13 + 4) < 2^53, while both families'
+    # bounds in ``near`` pass 2^62 on both axes: each call widens to Python ints
+    widened = []
+    near = ortho_solver.OrthSolutionFamily.near
+
+    def spy(self, x, den, axis):
+        got = near(self, x, den, axis)
+        widened.append((x.dtype, got[1].dtype))
+        return got
+
+    monkeypatch.setattr(ortho_solver.OrthSolutionFamily, "near", spy)
+    box = ((2 * 10**13, 2 * 10**13 + 4), (-2 * 10**13 - 4, -2 * 10**13))
+    r = assert_scan_matches_dense(0, 0, box, 200)
+    assert widened == [(np.int64, object)] * 4
+    assert math.isfinite(r.min_residual)
+
+
 FAR = 3 * 10**15 + Fraction(3, 2)  # an antidiagonal coordinate for a = 3, past 2^53
 
 
