@@ -10,12 +10,14 @@ the commands put Fractions and records into their bodies as they are.  Errors
 surface as a JSON object with a machine-readable code and a distinct exit
 code per class.
 
-This module imports only ``errors``, ``exponents`` and ``measures``.  The
-names it uses from ``gram``, ``ortho_solver``, ``additive_space`` and
-``constructions`` go through the package's first-use loader when a command
-first needs them, so analyze loads none of those modules and construct only
-``constructions``.  No module loads numpy on import, so both run on the
-standard library alone.  Analyze loads neither ``dataclasses`` (nor the
+This module imports only ``errors``, ``exact`` and ``exponents``.  The
+names it uses from ``measures``, ``gram``, ``ortho_solver``,
+``additive_space`` and ``constructions`` go through the package's first-use
+loader when a command first needs them, so analyze loads none of those
+modules and construct only ``constructions`` and ``measures``.  No module
+loads numpy on import, so both run on the standard library alone.  Analyze
+reads each line's float from its exact key, and builds a Fraction only for
+the points of a loop it prints.  It loads neither ``dataclasses`` (nor the
 ``inspect`` it imports) nor ``csv``: ``_encode`` imports ``dataclasses`` only
 when it meets a result record, which the modules that define records have
 loaded already, and ``run`` imports ``csv`` only for ``--format csv``.
@@ -41,10 +43,10 @@ from .exponents import (
     max_zigzag_length,
     multiplicity,
 )
-from .measures import IntervalUnionMeasure, as_fraction
+from .exact import as_fraction
 
-# The commands read the names of gram, ortho_solver, additive_space and
-# constructions as attributes of this module, ``_cli.assemble(...)``: the
+# The commands read the names of measures, gram, ortho_solver, additive_space
+# and constructions as attributes of this module, ``_cli.assemble(...)``: the
 # module ``__getattr__`` below imports each on first use, and a replacement
 # set on this module (a test's or the benchmark tracer's wrapper) is the one
 # called.
@@ -78,8 +80,8 @@ def load_points(path: str) -> ExponentSet:
     return ExponentSet.from_json(_load_json(path))
 
 
-def load_measure(path: str) -> IntervalUnionMeasure:
-    return IntervalUnionMeasure.from_json(_load_json(path))
+def load_measure(path: str):
+    return _cli.IntervalUnionMeasure.from_json(_load_json(path))
 
 
 def _parse_box(text: str):
@@ -131,9 +133,10 @@ def _cmd_analyze(args: argparse.Namespace):
     windows = [args.window / 2, args.window, 2 * args.window]
     rows = []
     for axis in ("x", "y"):
-        # floated and sorted once for the three windows; lower_beurling_density
-        # re-floats and re-sorts it on each call, a linear pass on sorted input
-        proj = sorted(map(float, es.axis_lines(axis)))
+        # n / d rounds once, as float(Fraction(n, d)) does; floated and sorted
+        # once for the three windows, lower_beurling_density re-floats and
+        # re-sorts it on each call, a linear pass on sorted input
+        proj = sorted([n / d for n, d in es.axis_keys(axis)])
         sweep = []
         for w in windows:
             est = lower_beurling_density(proj, w, args.anchors)

@@ -6,22 +6,25 @@ bipartite line-incidence graph (nodes = distinct lines, edges = points), so
 zigzag loops are graph cycles and loop-free sets give forests with unique
 paths.  All coordinates are exact rationals: "same line" must never be a
 floating-point question.  An ``ExponentSet`` interns each distinct x and y
-coordinate once, keyed by the exact (numerator, denominator) of the
-normalised Fraction, as a small integer line id; multiplicities,
-projections, membership and the graph searches then work on ints and map
-back to points only for their output.  A point file is interned an axis at
-a time: each distinct coordinate value is parsed once, and the points'
-``ExponentPair`` objects are built only when ``points`` is first read, so
-``analyze`` never builds them.  The incidence forest is grown once per set,
+coordinate once, keyed by its lowest-terms (numerator, denominator) pair,
+as a small integer line id; multiplicities, projections, membership and the
+graph searches then work on ints and map back to points only for their
+output.  A point file is interned an axis at a time: each distinct
+coordinate value is parsed once, straight to its key (``exact.ratio``).
+The Fraction of each line (``lines``) and the points' ``ExponentPair``
+objects (``points``) are built only when first read, so ``analyze`` builds
+a Fraction only for the points of a loop it prints.  The incidence forest
+is grown once per set,
 in insertion order, and cached on it: a union-find over the line ids finds
 the first point whose two lines are already connected, which closes a loop
 through the unique forest path between them.
 
 ``ExponentPair``, the exact frequency pair that every layer shares, is
 defined here rather than beside the inner products in ``additive_space``, so
-this module needs only the standard library and ``analyze`` runs without
-numpy.  The value classes are ``measures.Frozen`` classes, not dataclasses,
-so importing this module loads neither ``dataclasses`` nor ``inspect``.
+this module needs only the standard library, ``errors`` and ``exact``, and
+``analyze`` runs without numpy or ``measures``.  The value classes are
+``exact.Frozen`` classes, not dataclasses, so importing this module loads
+neither ``dataclasses`` nor ``inspect``.
 """
 
 from __future__ import annotations
@@ -31,14 +34,14 @@ from bisect import bisect_left
 from collections import Counter, deque
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     MalformedInputError,
     NotAnSSequenceError,
     ZigzagLoopDetected,
 )
-from .measures import Frozen, as_fraction
+from .exact import Frozen, as_fraction, ratio
 
 UNBOUNDED_BY_LOOP = "unbounded-by-loop"
 
@@ -83,13 +86,12 @@ def _number(keys: Iterable[Tuple[int, int]], first: int):
     return [table.setdefault(key, first + len(table)) for key in keys], table
 
 
-def _intern(values: Sequence, parse: Callable[..., Fraction], first: int):
-    """Line ids of one axis's coordinate ``values``: ``(ids, lines, table)``.
+def _intern(values: Sequence, first: int):
+    """Line ids of one axis's coordinate ``values``: ``(ids, table)``.
 
-    Each distinct value is parsed once, in order of first use, by ``parse``,
-    and its line is keyed by the exact (numerator, denominator) of the
-    Fraction, so "1/2", "2/4" and 0.5 land on one line (``_number``);
-    ``lines`` holds the Fraction of each line.  A value that cannot be a dict
+    Each distinct value is parsed once, in order of first use, to its
+    lowest-terms (numerator, denominator) key by ``ratio``, so "1/2", "2/4"
+    and 0.5 land on one line (``_number``).  A value that cannot be a dict
     key (a list, say) is no rational: the values are then parsed in order
     until one fails.
     """
@@ -97,13 +99,11 @@ def _intern(values: Sequence, parse: Callable[..., Fraction], first: int):
         distinct = dict.fromkeys(values)
     except TypeError:
         for v in values:
-            as_fraction(v)
+            ratio(v)
         raise
-    fracs = list(map(parse, distinct))
-    ids, table = _number([(f.numerator, f.denominator) for f in fracs], first)
+    ids, table = _number(map(ratio, distinct), first)
     id_of = dict(zip(distinct, ids))
-    lines = dict(zip(ids, fracs))
-    return list(map(id_of.__getitem__, values)), list(lines.values()), table
+    return list(map(id_of.__getitem__, values)), table
 
 
 class ExponentSet(Frozen):
@@ -111,8 +111,9 @@ class ExponentSet(Frozen):
 
     ``xid[k]`` and ``yid[k]`` are the line ids of the k-th point: x lines
     are numbered from 0 in order of first use, y lines continue after them,
-    and ``lines[i]`` is the coordinate of line ``i``.  ``points``, the
-    ``ExponentPair`` of each point, is built from them on first use.
+    and ``_keys[i]`` is the lowest-terms (numerator, denominator) of line
+    ``i``.  ``lines``, the Fraction of each line, and ``points``, the
+    ``ExponentPair`` of each point, are built from them on first use.
     """
 
     _fields = ("points",)
@@ -122,23 +123,26 @@ class ExponentSet(Frozen):
         self.__dict__["points"] = pts
         xid, x_table = _number([(p.a.numerator, p.a.denominator) for p in pts], 0)
         yid, y_table = _number([(p.b.numerator, p.b.denominator) for p in pts], len(x_table))
-        # ids are numbered by first use, so the first insertions run 0, 1, ...
-        lines = dict(zip(xid, [p.a for p in pts]))
-        lines.update(zip(yid, [p.b for p in pts]))
-        self._store(xid, yid, list(lines.values()), x_table, y_table)
+        self._store(xid, yid, x_table, y_table)
 
-    def _store(self, xid, yid, lines, x_table, y_table) -> None:
+    def _store(self, xid, yid, x_table, y_table) -> None:
         index = dict(zip(zip(xid, yid), range(len(xid))))
         if len(index) != len(xid):
             raise MalformedInputError("duplicate points in exponent set")
+        # ids are numbered by first use, so the tables' keys run in id order
         self.__dict__.update(
-            xid=xid, yid=yid, lines=lines,
+            xid=xid, yid=yid, _keys=[*x_table, *y_table],
             _x_table=x_table, _y_table=y_table, _index=index,
         )
 
     @classmethod
     def of(cls, points: Iterable) -> "ExponentSet":
         return cls(tuple(points))
+
+    @cached_property
+    def lines(self) -> List[Fraction]:
+        """The coordinate of each line id."""
+        return [Fraction(n, d) for n, d in self._keys]
 
     @cached_property
     def points(self) -> Tuple[ExponentPair, ...]:
@@ -162,20 +166,28 @@ class ExponentSet(Frozen):
         j = self._y_table.get((p.b.numerator, p.b.denominator))
         return self._index.get((i, j))
 
-    def axis_lines(self, axis: str) -> List[Fraction]:
-        """Coordinates of the distinct lines of ``axis`` ("x" or "y"), in
-        order of first use."""
-        n_x = len(self._x_table)
+    def _axis(self, axis: str) -> slice:
+        """The line ids of ``axis`` ("x" or "y"), as a slice."""
         if axis == "x":
-            return self.lines[:n_x]
+            return slice(len(self._x_table))
         if axis == "y":
-            return self.lines[n_x:]
+            return slice(len(self._x_table), None)
         raise MalformedInputError(f"axis must be 'x' or 'y', got {axis!r}")
+
+    def axis_lines(self, axis: str) -> List[Fraction]:
+        """Coordinates of the distinct lines of ``axis``, in order of first use."""
+        ids = self._axis(axis)
+        return self.lines[ids]
+
+    def axis_keys(self, axis: str) -> List[Tuple[int, int]]:
+        """Lowest-terms (numerator, denominator) of the distinct lines of
+        ``axis``, in order of first use."""
+        return self._keys[self._axis(axis)]
 
     @cached_property
     def _forest(self):
         """``_grow_forest`` over every point, grown on first use and kept."""
-        return _grow_forest(self.xid, self.yid, len(self.lines))
+        return _grow_forest(self.xid, self.yid, len(self._keys))
 
     def to_json(self) -> list:
         names = [str(v) for v in self.lines]
@@ -195,20 +207,11 @@ class ExponentSet(Frozen):
             for item in data:
                 if not isinstance(item, (list, tuple)) or len(item) != 2:
                     raise MalformedInputError(f"bad point entry: {item!r}")
-        parsed: Dict[object, Fraction] = {}
-
-        def parse(v) -> Fraction:
-            # one memo for both axes: a string used on both is parsed once
-            f = parsed.get(v)
-            if f is None:
-                f = parsed[v] = as_fraction(v)
-            return f
-
         xs, ys = zip(*data) if data else ((), ())
-        xid, x_lines, x_table = _intern(xs, parse, 0)
-        yid, y_lines, y_table = _intern(ys, parse, len(x_lines))
+        xid, x_table = _intern(xs, 0)
+        yid, y_table = _intern(ys, len(x_table))
         es = object.__new__(cls)
-        es._store(xid, yid, x_lines + y_lines, x_table, y_table)
+        es._store(xid, yid, x_table, y_table)
         return es
 
 
@@ -217,13 +220,15 @@ class ZigzagPath(Frozen):
 
     A zig is a horizontal move (shared y coordinate), a zag a vertical move
     (shared x).  Length is the number of moves.  A loop repeats its first
-    point at the end and has positive even length.
+    point at the end and has positive even length.  ``starts_with`` is the
+    first move, or None for a single point; it follows from the vertices, so
+    a path is built, compared and hashed by its vertices alone.
     """
 
     __slots__ = ("vertices", "starts_with")
-    _fields = ("vertices", "starts_with")
+    _fields = ("vertices",)
 
-    def __init__(self, vertices: Tuple[ExponentPair, ...], starts_with: Optional[str] = None):
+    def __init__(self, vertices: Tuple[ExponentPair, ...]):
         verts = tuple(_as_pair(p) for p in vertices)
         object.__setattr__(self, "vertices", verts)
         if not verts:
@@ -241,14 +246,10 @@ class ZigzagPath(Frozen):
         for m0, m1 in zip(moves, moves[1:]):
             if m0 == m1:
                 raise MalformedInputError("zigzag moves must alternate")
-        derived = moves[0] if moves else None
-        if starts_with is None:
-            starts_with = derived
-        elif moves and starts_with != derived:
-            raise MalformedInputError(
-                f"path starts with a {derived}, not a {starts_with}"
-            )
-        object.__setattr__(self, "starts_with", starts_with)
+        object.__setattr__(self, "starts_with", moves[0] if moves else None)
+
+    def __repr__(self):
+        return f"ZigzagPath(vertices={self.vertices!r}, starts_with={self.starts_with!r})"
 
     @property
     def length(self) -> int:
@@ -286,12 +287,12 @@ def _grow_forest(xid: Sequence[int], yid: Sequence[int], n_lines: int):
     return adj, None
 
 
-def _close_loop(adj, xid, yid, lines, k: int) -> ZigzagPath:
+def _close_loop(adj, xid, yid, keys, k: int) -> ZigzagPath:
     """The loop that edge ``k`` closes with the forest path between its lines.
 
     ``xid`` and ``yid`` are indexed by edge, as in ``_grow_forest``, and
-    ``lines`` holds the coordinate of each line id; the pairs are built for
-    the loop's edges only.
+    ``keys`` holds the lowest-terms (numerator, denominator) of each line id;
+    Fractions and pairs are built for the loop's lines and edges only.
     """
     node, dst = xid[k], yid[k]
     # breadth-first tree from dst, line -> (parent line, edge), until node
@@ -308,7 +309,8 @@ def _close_loop(adj, xid, yid, lines, k: int) -> ZigzagPath:
         node, q = tree[node]
         edges.append(q)
     edges += [k, edges[0]]
-    return ZigzagPath(tuple(ExponentPair._exact(lines[xid[q]], lines[yid[q]]) for q in edges))
+    line = {i: Fraction(*keys[i]) for q in edges for i in (xid[q], yid[q])}
+    return ZigzagPath(tuple(ExponentPair._exact(line[xid[q]], line[yid[q]]) for q in edges))
 
 
 def _sweep(adj, src: int, depth: List[int]) -> int:
@@ -365,7 +367,7 @@ def find_zigzag_loop(es: ExponentSet) -> Optional[ZigzagPath]:
     adj, closing = es._forest
     if closing is None:
         return None
-    return _close_loop(adj, es.xid, es.yid, es.lines, closing)
+    return _close_loop(adj, es.xid, es.yid, es._keys, closing)
 
 
 def max_zigzag_length(es: ExponentSet) -> Union[int, str]:
@@ -418,13 +420,13 @@ def zigzag_distance_map(
     first_on_y = {yid[0]: 0}
     # grown up to the first point whose lines are already joined, which along
     # a valid ordering is the first point with predecessors on both axes
-    prefix, _ = _grow_forest(xid, yid, len(es.lines))
+    prefix, _ = _grow_forest(xid, yid, len(es._keys))
 
     for m in range(1, len(order)):
         vpred = first_on_x.get(xid[m])
         hpred = first_on_y.get(yid[m])
         if vpred is not None and hpred is not None:
-            loop = _close_loop(prefix, xid, yid, es.lines, m)
+            loop = _close_loop(prefix, xid, yid, es._keys, m)
             raise ZigzagLoopDetected(f"loop through {order[m]}", loop=loop)
         if vpred is not None:
             dist.append(dist[vpred] + 1)
@@ -458,7 +460,7 @@ def lower_beurling_density(proj, window: float, anchors: int = 64) -> float:
     count([t, t+window)) / window.  This upper-bounds the true lower Beurling
     density; the window should be well inside the span of the points.
     """
-    vals = sorted(float(x) for x in proj)
+    vals = sorted(map(float, proj))
     if not vals:
         return 0.0
     window = float(window)

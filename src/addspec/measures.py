@@ -18,85 +18,21 @@ one place that picks int64 or Python ints for those reductions, for h = p/q:
 int64 while 4 max(1, max|x|) q < 2^62, where the 1 keeps p mod q itself in
 range on an all-zero grid.
 
-``Frozen`` gives this module's measure and ``exponents``' value classes
-what a frozen dataclass would, without importing ``dataclasses`` (which
-imports ``inspect``) on the ``analyze`` path.
+The measure is an ``exact.Frozen`` value, and ``as_fraction`` comes from
+``exact`` too (it is still importable from here): ``analyze`` needs only
+those, so it imports ``exact`` and never compiles this module's kernels.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple
 
 from .errors import MalformedInputError
-
-RationalLike = Union[int, str, Fraction, float]
+from .exact import Frozen, RationalLike, as_fraction
 
 WEIGHT_TOL = 1e-12
-
-
-def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce ints, "p/q" strings, floats, and Fractions to an exact Fraction."""
-    # Fraction is an ABC, so isinstance on it is slow; a str skips the check
-    if type(value) is not str and isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        try:
-            if isinstance(value, str):
-                # "-?digits" and "-?digits/digits" in ASCII skip the regex of
-                # Fraction(str); every other string still goes through it
-                num, slash, den = value.partition("/")
-                digits = num[1:] if num[:1] == "-" else num
-                if digits.isascii() and digits.isdigit():
-                    if not slash:
-                        return Fraction(int(num))
-                    if den.isascii() and den.isdigit():
-                        return Fraction(int(num), int(den))
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedInputError(f"not a rational: {value!r}") from exc
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise MalformedInputError(f"not a finite rational: {value!r}")
-        return Fraction(value)
-    raise MalformedInputError(f"not a rational: {value!r}")
-
-
-class Frozen:
-    """Immutable value whose constructor takes the fields ``_fields``, in
-    order: ``==`` and ``hash`` go by the tuple of their values, ``repr``
-    spells them out, copies and pickles are rebuilt through the constructor,
-    and assigning or deleting an attribute raises AttributeError, as on a
-    frozen dataclass.  Constructors set fields with ``object.__setattr__``.
-    """
-
-    __slots__ = ()
-    _fields: Tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class IntervalUnionMeasure(Frozen):

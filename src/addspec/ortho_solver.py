@@ -89,17 +89,22 @@ class OrthSolutionFamily:
 
     def near(self, x, den: int, axis: int):
         """(near, index) at each point x / den of axis 0 or 1, ``x`` integers: whether
-        a member coordinate lies within EXCLUSION_RADIUS, and its n (0 if uncoupled)."""
+        a member coordinate lies within EXCLUSION_RADIUS, and its n (0 if uncoupled).
+
+        With x / den - offset = step N / M, the nearest member n = round(N / M)
+        lies step |N - M n| / M away.  Every product below is at most 2 top,
+        top = (max|x| oq + |op| den + den oq) sq + M, except the radius test's
+        rq |N - M n| <= rq M / 2; ``x`` stays int64 while max(2 top, rq M) is
+        below INT64_SAFE, and becomes Python ints past it.
+        """
         import numpy as np
 
         (op, oq), (sp, sq) = self.offset.as_integer_ratio(), self.step.as_integer_ratio()
         rp, rq = EXCLUSION_RADIUS.as_integer_ratio()
         x = -x if axis and self.sign_coupled else x
-        # x / den - offset = step N / M: n = round(N / M) lies step |N - M n| / M
-        # away; (2 + rq) top bounds every product below
         M = den * oq * sp
         top = (int(abs(x).max()) * oq + abs(op) * den + den * oq) * sq + M
-        if x.dtype != object and (2 + rq) * top >= INT64_SAFE:
+        if x.dtype != object and max(2 * top, rq * M) >= INT64_SAFE:
             x = x.astype(object)
         N = (x * oq - op * den) * sq
         n = (2 * N + M) // (2 * M)

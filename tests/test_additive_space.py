@@ -167,6 +167,18 @@ def test_piecewise_zero_extension():
     assert vals == pytest.approx([0, 1, 1, 1, 0])
 
 
+@pytest.mark.parametrize(
+    "piece, message",
+    [(("1/2", "1/2", (1.0,)), "empty piece [1/2, 1/2]"),
+     (("1", "0", (1.0,)), "empty piece [1, 0]"),
+     (("0", "1", ()), "piece needs at least one coefficient")],
+)
+def test_piecewise_rejects_empty_pieces_and_coefficients(piece, message):
+    with pytest.raises(MalformedInputError) as err:
+        PiecewisePolynomial((piece,))
+    assert str(err.value) == message
+
+
 def _quad_integral(m, l, r, poly, freq):
     """Integral of poly(x) e^{2 pi i freq x} dm(x) over [l, r] by adaptive quadrature."""
     total = 0j

@@ -317,7 +317,7 @@ def test_point_file_fault_order(tmp_path, data, message):
 
 def test_analyze_loads_only_what_it_uses(tmp_path, fresh_python):
     """A fresh analyze process (JSON output) imports no dataclasses, inspect
-    or csv, no numpy and none of the numerical modules."""
+    or csv, no numpy and none of the numerical modules, ``measures`` included."""
     pts = tmp_path / "points.json"
     pts.write_text(json.dumps([["1", "1"], ["1", "3"], ["3", "1"], ["3", "3"], ["5/2", "-7"]]))
     script = (
@@ -325,7 +325,7 @@ def test_analyze_loads_only_what_it_uses(tmp_path, fresh_python):
         "from addspec.cli import main\n"
         "code = main(sys.argv[1:])\n"
         "unwanted = ['dataclasses', 'inspect', 'csv', 'numpy', 'addspec.gram',\n"
-        "            'addspec.additive_space', 'addspec.ortho_solver']\n"
+        "            'addspec.additive_space', 'addspec.ortho_solver', 'addspec.measures']\n"
         "print(json.dumps([m for m in unwanted if m in sys.modules]), file=sys.stderr)\n"
         "raise SystemExit(code)\n"
     )
@@ -477,6 +477,37 @@ TOO_SMALL = "is too small: the rescaled test function leaves the float range"
 def test_out_of_range_inputs_are_malformed(tmp_path, argv, message):
     code, err = run_json(tmp_path, argv, name="err.json")
     assert code == 3
+    assert err == {"error": {"code": "malformed-input", "message": message}}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve-oe", "--space", "L", "--scan", "--box", "1,2,3"], "box must be 'x0,x1,y0,y1'"),
+        (["solve-oe", "--space", "L", "--scan", "--box", "1,2,3,x"], "bad box '1,2,3,x'"),
+        (["gram", "--space", "L", "--sizes", "2,x"], "bad sizes '2,x'"),
+        (["construct", "nonoverlap"], "construct nonoverlap needs --measure"),
+        (["solve-oe", "--t=-1/3"], "give both --t and --t-prime"),
+        (["solve-oe", "--t-prime=-1/3", "--scan"], "give both --t and --t-prime"),
+        (["solve-oe", "--classify"], "give --space or --t/--t-prime"),
+    ],
+)
+def test_malformed_arguments_exit_3(tmp_path, argv, message):
+    if argv[0] == "gram":
+        pts = tmp_path / "points.json"
+        assert main(["construct", "l-onb", "--N", "4", "--out", str(pts)]) == 0
+        argv = argv + ["--points", str(pts)]
+    code, err = run_json(tmp_path, argv, name="err.json")
+    assert code == 3
+    assert err == {"error": {"code": "malformed-input", "message": message}}
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--points"], ["construct", "nonoverlap", "--measure"]])
+def test_unreadable_input_file_exits_3(tmp_path, argv):
+    missing = tmp_path / "missing.json"
+    code, err = run_json(tmp_path, argv + [str(missing)], name="err.json")
+    assert code == 3
+    message = f"cannot read {missing}: [Errno 2] No such file or directory: {str(missing)!r}"
     assert err == {"error": {"code": "malformed-input", "message": message}}
 
 

@@ -180,6 +180,11 @@ def test_lev_style_set_basic():
         assert per_line["y"][p.b] == 2
 
 
+def test_staircase_rejects_a_negative_length():
+    with pytest.raises(MalformedInputError, match="^length must be non-negative$"):
+        staircase_zigzag(-1)
+
+
 def test_lev_style_set_depth_one():
     es = lev_style_set(2, 1)
     assert max_zigzag_length(es) >= 1

@@ -525,7 +525,8 @@ def test_loop_pairs_are_built_from_line_ids():
 
 VALUES = [
     (ExponentPair("1/2", -3), ("a", "b")),
-    (ZigzagPath(((0, 0), (0, 1), (2, 1))), ("vertices", "starts_with")),
+    # starts_with follows from the vertices: not a constructor field
+    (ZigzagPath(((0, 0), (0, 1), (2, 1))), ("vertices",)),
     (addspec.IntervalUnionMeasure.from_pieces([("-2", "-1", "1/2"), ("1", "2", "1/2")]), ("pieces",)),
     (ExponentSet.of([("1/2", "-1/2"), (1, 2)]), ("points",)),
     (ExponentSet.from_json([["1/2", "-1/2"], ["1", "2"]]), ("points",)),
@@ -608,23 +609,42 @@ def test_analyze_grows_the_forest_once(tmp_path, monkeypatch, pts):
 
 
 def test_analyze_converts_each_projection_once(tmp_path, monkeypatch):
-    # 30 distinct x lines and 15 distinct y lines, three density windows each
+    # 30 distinct x lines and 15 distinct y lines, three density windows each;
+    # the set is loop-free, so analyze floats each line once, from its exact
+    # key, and builds no Fraction at all
     pts = [[f"{k}/3", f"{k // 2}/7"] for k in range(30)]
     path = tmp_path / "points.json"
     path.write_text(json.dumps(pts))
-    expected = main(["analyze", "--points", str(path), "--out", str(tmp_path / "a.json")])
-    calls = []
-    to_float = Fraction.__float__
+    expected = {
+        axis: [
+            {"window": w, "estimate": lower_beurling_density({Fraction(p[i]) for p in pts}, w)}
+            for w in (10.0, 20.0, 40.0)
+        ]
+        for i, axis in enumerate("xy")
+    }
+    made, floated, keyed = [], [], []
+    new, to_float, axis_keys = Fraction.__new__, Fraction.__float__, ExponentSet.axis_keys
 
-    def counted(self):
-        calls.append(self)
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    def counted_float(self):
+        floated.append(self)
         return to_float(self)
 
-    monkeypatch.setattr(Fraction, "__float__", counted, raising=False)
-    assert main(["analyze", "--points", str(path), "--out", str(tmp_path / "b.json")]) == expected
-    assert len(calls) == 30 + 15
-    bodies = [json.loads((tmp_path / f).read_text())["body"] for f in ("a.json", "b.json")]
-    assert bodies[0] == bodies[1]
+    def counted_keys(self, axis):
+        keyed.append(axis)
+        return axis_keys(self, axis)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    monkeypatch.setattr(Fraction, "__float__", counted_float, raising=False)
+    monkeypatch.setattr(ExponentSet, "axis_keys", counted_keys)
+    assert main(["analyze", "--points", str(path), "--out", str(tmp_path / "a.json")]) == 0
+    monkeypatch.undo()
+    assert (made, floated, keyed) == ([], [], ["x", "y"])
+    body = json.loads((tmp_path / "a.json").read_text())["body"]
+    assert body["density"] == expected and body["loop"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -784,8 +804,19 @@ def test_zigzag_path_validation():
         ZigzagPath(((0, 0), (0, 1), (0, 2)))  # two vertical moves in a row
     with pytest.raises(MalformedInputError):
         ZigzagPath(((0, 0), (0, 0)))
+    with pytest.raises(MalformedInputError, match="^zigzag needs at least one point$"):
+        ZigzagPath(())
     z = ZigzagPath(((0, 0), (0, 1), (2, 1)))
     assert z.starts_with == "zag" and z.length == 2 and not z.is_loop
+    assert ZigzagPath(((2, 1), (0, 1))).starts_with == "zig"
+    assert ZigzagPath(((2, 1),)).starts_with is None
+    with pytest.raises(TypeError):
+        ZigzagPath(z.vertices, starts_with="zag")
+
+
+def test_empty_set_has_no_zigzag_length():
+    with pytest.raises(MalformedInputError, match="^empty exponent set$"):
+        max_zigzag_length(ExponentSet.of([]))
 
 
 def test_staircase_constructor_vertices(staircase_8):

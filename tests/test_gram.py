@@ -702,6 +702,22 @@ def test_generic_phases_keep_the_diagonal_exactly_one():
     assert extremal_eigenvalues(g) == (1.0, 1.0)
 
 
+def test_diagonal_off_one_keeps_the_dense_step():
+    # the rectangle's section is [[I, C], [C^H, I]] on its two halves; one
+    # diagonal entry an ulp above 1 makes it no such matrix, so the eigen
+    # step is eigvalsh's on the whole section
+    g = assemble(l_space(), _rectangle(0, 0))
+    assert gram._halves(g.entries) is not None
+    e = g.entries.copy()
+    e[0, 0] = np.nextafter(1.0, 2.0)
+    assert gram._halves(e) is None
+    with _counted_eigvalsh() as calls:
+        got = extremal_eigenvalues(GramMatrix(g.pairs, e))
+    assert calls == [4]
+    w = np.linalg.eigvalsh(e)
+    assert got == (float(w[0]), float(w[-1]))
+
+
 def test_shuffled_lev_path_takes_the_half_size_step():
     # lines of at most two points: the joins form long paths, which the
     # breadth-first colouring walks from each path's smallest point
@@ -948,6 +964,12 @@ def test_collinear_half_slope():
 def test_collinear_random_g():
     r = collinear_failure_demo(1, 16, g="random", seed=5)
     assert r.ratio < 1e-10
+
+
+def test_collinear_rejects_an_unknown_test_function():
+    with pytest.raises(MalformedInputError) as err:
+        collinear_failure_demo(1, 8, g="bogus")
+    assert str(err.value) == "unknown test function 'bogus'"
 
 
 def test_collinear_builds_few_quadrature_rules():

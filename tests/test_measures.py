@@ -15,6 +15,7 @@ from addspec.additive_space import (
     ExponentPair, PiecewisePolynomial, exp_inner, l_space, measure_integral,
 )
 from addspec.errors import MalformedInputError
+from addspec.exact import ratio
 from addspec.measures import (
     INT64_SAFE, as_fraction, exact_grid, residues, transform_rows, unit_phase,
 )
@@ -258,3 +259,36 @@ def test_as_fraction_strings_match_fraction(text):
 def test_as_fraction_plain_string_edges():
     for text in PLAIN_EDGES:
         _assert_matches_fraction(text)
+
+
+def _assert_ratio_is_as_fraction(value):
+    try:
+        f = as_fraction(value)
+    except MalformedInputError as exc:
+        with pytest.raises(MalformedInputError, match=f"^{re.escape(str(exc))}$"):
+            ratio(value)
+        return
+    n, d = ratio(value)
+    assert (n, d) == (f.numerator, f.denominator), value
+    assert type(n) is int and type(d) is int and d > 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.from_regex(r"-?[0-9]{1,25}(/[0-9]{1,25})?", fullmatch=True),
+    st.text(alphabet="0123456789-+/ _.eE٣²", max_size=8),
+    st.integers(),
+    st.booleans(),
+    st.floats(),
+    st.fractions(),
+    st.none(),
+))
+def test_ratio_is_the_lowest_terms_pair_of_as_fraction(value):
+    # the point-file keys and as_fraction come from the one parser
+    _assert_ratio_is_as_fraction(value)
+
+
+def test_ratio_edges():
+    for value in PLAIN_EDGES + ["6/4", "-6/4", "0/7", [1], 2**80, -0.0]:
+        _assert_ratio_is_as_fraction(value)
+    assert ratio("-6/4") == (-3, 2) and ratio("0/7") == (0, 1) and ratio(True) == (1, 1)

@@ -373,21 +373,38 @@ def test_far_box_excludes_its_boundary_cell():
     assert not any(excluded(fam, *centre) for fam in solve_families(0, 0))
 
 
-def test_far_box_widens_the_exclusion_bounds_past_int64(monkeypatch):
-    # the centres stay int64, 400 (2e13 + 4) < 2^53, while both families'
-    # bounds in ``near`` pass 2^62 on both axes: each call widens to Python ints
-    widened = []
+def near_dtypes(monkeypatch):
+    """The (centre, index) dtypes of each ``near`` call, as the scan makes them."""
+    dtypes = []
     near = ortho_solver.OrthSolutionFamily.near
 
     def spy(self, x, den, axis):
         got = near(self, x, den, axis)
-        widened.append((x.dtype, got[1].dtype))
+        dtypes.append((x.dtype, got[1].dtype))
         return got
 
     monkeypatch.setattr(ortho_solver.OrthSolutionFamily, "near", spy)
+    return dtypes
+
+
+def test_far_box_keeps_the_exclusion_bounds_on_int64(monkeypatch):
+    # the centres are int64, 400 (2e13 + 4) < 2^53, and every product in
+    # ``near`` stays near 2 * 400 * 2e13 * 2 < 2^62 on both families and axes
+    dtypes = near_dtypes(monkeypatch)
     box = ((2 * 10**13, 2 * 10**13 + 4), (-2 * 10**13 - 4, -2 * 10**13))
     r = assert_scan_matches_dense(0, 0, box, 200)
-    assert widened == [(np.int64, object)] * 4
+    assert dtypes == [(np.int64, np.int64)] * 4
+    assert math.isfinite(r.min_residual)
+
+
+def test_fine_box_widens_the_exclusion_bounds_past_int64(monkeypatch):
+    # corners over 2^50 at grid 3: the centres are int64, 6 * 2^50 < 2^53, but
+    # the radius test's 1000 M passes 2^62 on both families: each call widens
+    dtypes = near_dtypes(monkeypatch)
+    e = Fraction(1, 2**50)
+    box = ((e, Fraction(1, 2) + e), (-Fraction(1, 2) - e, -e))
+    r = assert_scan_matches_dense(Fraction(-1, 3), Fraction(-1, 3), box, 3)
+    assert dtypes == [(np.int64, object)] * 4
     assert math.isfinite(r.min_residual)
 
 
