@@ -133,10 +133,9 @@ def _cmd_analyze(args: argparse.Namespace):
     windows = [args.window / 2, args.window, 2 * args.window]
     rows = []
     for axis in ("x", "y"):
-        # n / d rounds once, as float(Fraction(n, d)) does; floated and sorted
-        # once for the three windows, lower_beurling_density re-floats and
-        # re-sorts it on each call, a linear pass on sorted input
-        proj = sorted([n / d for n, d in es.axis_keys(axis)])
+        # floated and sorted once for the three windows; lower_beurling_density
+        # re-floats and re-sorts it on each call, a linear pass on sorted input
+        proj = sorted(es.axis_floats(axis))
         sweep = []
         for w in windows:
             est = lower_beurling_density(proj, w, args.anchors)

@@ -14,10 +14,9 @@ coordinate value is parsed once, straight to its key (``exact.ratio``).
 The Fraction of each line (``lines``) and the points' ``ExponentPair``
 objects (``points``) are built only when first read, so ``analyze`` builds
 a Fraction only for the points of a loop it prints.  The incidence forest
-is grown once per set,
-in insertion order, and cached on it: a union-find over the line ids finds
-the first point whose two lines are already connected, which closes a loop
-through the unique forest path between them.
+is grown once per set, in insertion order, and cached on it: a union-find
+over the line ids finds the first point whose two lines are already
+connected, which closes a loop through the unique forest path between them.
 
 ``ExponentPair``, the exact frequency pair that every layer shares, is
 defined here rather than beside the inner products in ``additive_space``, so
@@ -179,10 +178,10 @@ class ExponentSet(Frozen):
         ids = self._axis(axis)
         return self.lines[ids]
 
-    def axis_keys(self, axis: str) -> List[Tuple[int, int]]:
-        """Lowest-terms (numerator, denominator) of the distinct lines of
-        ``axis``, in order of first use."""
-        return self._keys[self._axis(axis)]
+    def axis_floats(self, axis: str) -> List[float]:
+        """Floats of the distinct lines of ``axis``, in order of first use,
+        read from the keys: n / d rounds once, as float(Fraction(n, d)) does."""
+        return [n / d for n, d in self._keys[self._axis(axis)]]
 
     @cached_property
     def _forest(self):
@@ -292,7 +291,7 @@ def _close_loop(adj, xid, yid, keys, k: int) -> ZigzagPath:
 
     ``xid`` and ``yid`` are indexed by edge, as in ``_grow_forest``, and
     ``keys`` holds the lowest-terms (numerator, denominator) of each line id;
-    Fractions and pairs are built for the loop's lines and edges only.
+    Fractions and pairs are built for the loop's points only.
     """
     node, dst = xid[k], yid[k]
     # breadth-first tree from dst, line -> (parent line, edge), until node
@@ -309,8 +308,9 @@ def _close_loop(adj, xid, yid, keys, k: int) -> ZigzagPath:
         node, q = tree[node]
         edges.append(q)
     edges += [k, edges[0]]
-    line = {i: Fraction(*keys[i]) for q in edges for i in (xid[q], yid[q])}
-    return ZigzagPath(tuple(ExponentPair._exact(line[xid[q]], line[yid[q]]) for q in edges))
+    return ZigzagPath(tuple(
+        ExponentPair._exact(Fraction(*keys[xid[q]]), Fraction(*keys[yid[q]])) for q in edges
+    ))
 
 
 def _sweep(adj, src: int, depth: List[int]) -> int:

@@ -622,8 +622,8 @@ def test_analyze_converts_each_projection_once(tmp_path, monkeypatch):
         ]
         for i, axis in enumerate("xy")
     }
-    made, floated, keyed = [], [], []
-    new, to_float, axis_keys = Fraction.__new__, Fraction.__float__, ExponentSet.axis_keys
+    made, floated, axes = [], [], []
+    new, to_float, axis_floats = Fraction.__new__, Fraction.__float__, ExponentSet.axis_floats
 
     def counted_new(cls, *args, **kwargs):
         made.append(args)
@@ -633,18 +633,39 @@ def test_analyze_converts_each_projection_once(tmp_path, monkeypatch):
         floated.append(self)
         return to_float(self)
 
-    def counted_keys(self, axis):
-        keyed.append(axis)
-        return axis_keys(self, axis)
+    def counted_axis(self, axis):
+        axes.append(axis)
+        return axis_floats(self, axis)
 
     monkeypatch.setattr(Fraction, "__new__", counted_new)
     monkeypatch.setattr(Fraction, "__float__", counted_float, raising=False)
-    monkeypatch.setattr(ExponentSet, "axis_keys", counted_keys)
+    monkeypatch.setattr(ExponentSet, "axis_floats", counted_axis)
     assert main(["analyze", "--points", str(path), "--out", str(tmp_path / "a.json")]) == 0
     monkeypatch.undo()
-    assert (made, floated, keyed) == ([], [], ["x", "y"])
+    assert (made, floated, axes) == ([], [], ["x", "y"])
     body = json.loads((tmp_path / "a.json").read_text())["body"]
     assert body["density"] == expected and body["loop"] is None
+
+
+def test_analyze_builds_fractions_only_for_the_loop_points(tmp_path, monkeypatch):
+    # a 10 x 10 lattice: its first loop is the unit square at the origin, and
+    # only the coordinates of its five vertices (the first repeated) become
+    # Fractions
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps([[str(i), str(j)] for i in range(10) for j in range(10)]))
+    made = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    assert main(["analyze", "--points", str(path), "--out", str(tmp_path / "a.json")]) == 0
+    monkeypatch.undo()
+    assert sorted(made) == [(0, 1)] * 5 + [(1, 1)] * 5
+    loop = json.loads((tmp_path / "a.json").read_text())["body"]["loop"]
+    assert loop == {"length": 4, "vertices": [["1", "0"], ["0", "0"], ["0", "1"], ["1", "1"], ["1", "0"]]}
 
 
 # ---------------------------------------------------------------------------
