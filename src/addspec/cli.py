@@ -17,10 +17,12 @@ loader when a command first needs them, so analyze loads none of those
 modules and construct only ``constructions`` and ``measures``.  No module
 loads numpy on import, so both run on the standard library alone.  Analyze
 reads each line's float from its exact key, and builds a Fraction only for
-the points of a loop it prints.  It loads neither ``dataclasses`` (nor the
-``inspect`` it imports) nor ``csv``: ``_encode`` imports ``dataclasses`` only
-when it meets a result record, which the modules that define records have
-loaded already, and ``run`` imports ``csv`` only for ``--format csv``.
+the points of a loop it prints; gram hands the loaded set itself to the
+certificate, which reads its grids from the same keys.  It loads neither
+``dataclasses`` (nor the ``inspect`` it imports) nor ``csv``: ``_encode``
+imports ``dataclasses`` only when it meets a result record, which the
+modules that define records have loaded already, and ``run`` imports
+``csv`` only for ``--format csv``.
 """
 
 from __future__ import annotations
@@ -148,18 +150,17 @@ def _cmd_analyze(args: argparse.Namespace):
 def _cmd_gram(args: argparse.Namespace):
     space = _cli.space_from_name(args.space)
     es = load_points(args.points)
-    pairs = es.points
-    sizes = _parse_sizes(args.sizes, len(pairs))
-    cert = _cli.riesz_section_certificate(space, pairs, sizes)
+    sizes = _parse_sizes(args.sizes, len(es))
+    cert = _cli.riesz_section_certificate(space, es, sizes)
     body = {
         "space": args.space,
-        "n_points": len(pairs),
+        "n_points": len(es),
         "certificate": cert.to_body(),
     }
     if args.check == "identity":
         # reuse the certificate's matrix; it holds only the prefix its sizes
         # need, so a ladder ending below n assembles every point once more
-        full = cert.gram if cert.gram.size == len(pairs) else _cli.assemble(space, pairs)
+        full = cert.gram if cert.gram.size == len(es) else _cli.assemble(space, es)
         dev = _cli.identity_deviation(full)
         body["identity_check"] = {
             "max_abs_deviation": dev,
@@ -173,7 +174,7 @@ def _cmd_gram(args: argparse.Namespace):
             ("cubic", _cli.monomial_pair(space, 3, 3)),
         ]
         body["parseval"] = [
-            {"test_fn": name, "residual": _cli.parseval_residual(space, pairs, fn)}
+            {"test_fn": name, "residual": _cli.parseval_residual(space, es.points, fn)}
             for name, fn in fams
         ]
     rows = list(zip(cert.sizes, cert.lambda_min, cert.lambda_max))

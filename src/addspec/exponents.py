@@ -13,10 +13,12 @@ output.  A point file is interned an axis at a time: each distinct
 coordinate value is parsed once, straight to its key (``exact.ratio``).
 The Fraction of each line (``lines``) and the points' ``ExponentPair``
 objects (``points``) are built only when first read, so ``analyze`` builds
-a Fraction only for the points of a loop it prints.  The incidence forest
-is grown once per set, in insertion order, and cached on it: a union-find
-over the line ids finds the first point whose two lines are already
-connected, which closes a loop through the unique forest path between them.
+a Fraction only for the points of a loop it prints, and ``gram`` reads
+each axis's integer grid straight from the keys (``axis_keys``), with no
+Fraction or pair per point.  The incidence forest is grown once per set,
+in insertion order, and cached on it: a union-find over the line ids
+finds the first point whose two lines are already connected, which closes
+a loop through the unique forest path between them.
 
 ``ExponentPair``, the exact frequency pair that every layer shares, is
 defined here rather than beside the inner products in ``additive_space``, so
@@ -33,6 +35,7 @@ from bisect import bisect_left
 from collections import Counter, deque
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -113,6 +116,8 @@ class ExponentSet(Frozen):
     and ``_keys[i]`` is the lowest-terms (numerator, denominator) of line
     ``i``.  ``lines``, the Fraction of each line, and ``points``, the
     ``ExponentPair`` of each point, are built from them on first use.
+    Numbered by first use, the lines of the first n points are the first
+    lines of each axis, so ``prefix`` slices a set without parsing again.
     """
 
     _fields = ("points",)
@@ -177,6 +182,35 @@ class ExponentSet(Frozen):
         """Coordinates of the distinct lines of ``axis``, in order of first use."""
         ids = self._axis(axis)
         return self.lines[ids]
+
+    def axis_keys(self, axis: str) -> Tuple[List[Tuple[int, int]], List[int]]:
+        """``(keys, ids)``: the lowest-terms (numerator, denominator) of the
+        distinct lines of ``axis``, in order of first use, and the index of
+        each point's line into them."""
+        lines = self._axis(axis)
+        if axis == "x":
+            return self._keys[lines], self.xid
+        return self._keys[lines], [i - lines.start for i in self.yid]
+
+    def prefix(self, n: int) -> "ExponentSet":
+        """The set of the first ``n`` points, with no coordinate parsed again.
+
+        Line ids are numbered by first use, so the prefix's lines are the
+        first lines of each axis: it keeps their keys and x ids, and its y
+        ids move down past the x lines it leaves out.
+        """
+        if n >= len(self.xid):
+            return self
+        xid, yid = self.xid[:n], self.yid[:n]
+        first_y = len(self._x_table)
+        nx = max(xid, default=-1) + 1
+        ny = max(yid, default=first_y - 1) + 1 - first_y
+        shift = first_y - nx
+        x_table = dict(islice(self._x_table.items(), nx))
+        y_table = {key: i - shift for key, i in islice(self._y_table.items(), ny)}
+        es = object.__new__(type(self))
+        es._store(xid, [j - shift for j in yid], x_table, y_table)
+        return es
 
     def axis_floats(self, axis: str) -> List[float]:
         """Floats of the distinct lines of ``axis``, in order of first use,

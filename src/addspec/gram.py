@@ -20,6 +20,13 @@ then builds that real symmetric matrix in place of G, one float64 n x n
 array.  Other sections, such as a doubled non-overlap spectrum, stay
 complex Hermitian.
 
+Sections are taken of an ``ExponentSet``, which has rejected duplicate
+points already.  Each axis's integer grid is read from the set's line keys
+(``ExponentSet.axis_keys`` through ``measures.exact_grid``), and the loop of
+a degenerate prefix from the set's incidence forest, so a point file's
+coordinates become neither Fractions nor ``ExponentPair`` objects unless a
+report prints them.
+
 Either way, a section that splits into two exactly orthonormal halves takes
 a half-size step: the matrix is [[I, C], [C^H, I]] after ordering, and its
 extremal eigenvalues are 1 -+ sigma_max(C).  The split is decided on the
@@ -67,7 +74,10 @@ ROW_BLOCK = 32
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Hermitian matrix of exponential inner products for an ordered pair list.
+    """Hermitian matrix of exponential inner products of an ordered point set.
+
+    ``points`` is the ``ExponentSet`` of its rows, in order, with its line
+    ids: row p is the p-th point.
 
     ``phases`` is a unit vector u, set by ``assemble`` when the exact test of
     ``_aligned_phases`` shows that  conj(u_p) G_pq u_q  is real: a diagonal
@@ -77,18 +87,19 @@ class GramMatrix:
     Either way it is the matrix the eigen step factorizes.
     """
 
-    pairs: Tuple[ExponentPair, ...]
+    points: ExponentSet
     entries: np.ndarray
     phases: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.pairs)
+        return len(self.points)
 
 
-def _half_rows(m: IntervalUnionMeasure, coords: Sequence[Fraction]):
-    """One axis: its ``exact_grid`` and denominator D, and
-    ``rows(rows, cols, out)`` writing ft(m, c_i - c_j)/2.
+def _half_rows(m: IntervalUnionMeasure, es: ExponentSet, axis: str):
+    """One axis: the ``exact_grid`` of its coordinates and its denominator
+    D, read from the set's line keys, and ``rows(rows, cols, out)`` writing
+    ft(m, c_i - c_j)/2.
 
     A span small next to n^2 gets a table of ``transform_rows`` over it
     against 0, extended by ft(-d) = conj ft(d), so its rows are exactly
@@ -98,7 +109,7 @@ def _half_rows(m: IntervalUnionMeasure, coords: Sequence[Fraction]):
     """
     import numpy as np
 
-    grid, D = exact_grid(coords)
+    grid, D = exact_grid(*es.axis_keys(axis))
     low = grid.min()
     span = int(grid.max() - low)
     if 2 * span + 1 <= len(grid) ** 2 / 4:
@@ -112,13 +123,15 @@ def _half_rows(m: IntervalUnionMeasure, coords: Sequence[Fraction]):
     return grid, D, transform_rows(m, grid, D, 0.5)
 
 
-def _axes(s: AdditiveSpace, pairs: Sequence[ExponentPair]):
-    """``_half_rows`` of both axes; duplicates are found on the exact grids."""
-    x = _half_rows(s.mu, [p.a for p in pairs])
-    y = _half_rows(s.nu, [p.b for p in pairs])
-    if len(set(zip(x[0].tolist(), y[0].tolist()))) != len(pairs):
-        raise MalformedInputError("duplicate pairs in Gram assembly")
-    return x, y
+def _axes(s: AdditiveSpace, es: ExponentSet):
+    """``_half_rows`` of both axes."""
+    return _half_rows(s.mu, es, "x"), _half_rows(s.nu, es, "y")
+
+
+def _as_set(points) -> ExponentSet:
+    """``points`` as an ``ExponentSet``: itself if it is one, else the set
+    of a pair sequence, which rejects duplicate points."""
+    return points if isinstance(points, ExponentSet) else ExponentSet(points)
 
 
 def _row_blocks(x, y, upper=False):
@@ -176,28 +189,30 @@ def _aligned_phases(s: AdditiveSpace, x, y):
     return None if np.any(phi != phi[0]) else unit_phase(grid_x, c_x / D_x)
 
 
-def assemble(s: AdditiveSpace, pairs: Sequence[ExponentPair]) -> GramMatrix:
-    """Gram matrix  ft(mu, a_p - a_q)/2 + ft(nu, b_p - b_q)/2  of a pair list.
+def assemble(s: AdditiveSpace, points) -> GramMatrix:
+    """Gram matrix  ft(mu, a_p - a_q)/2 + ft(nu, b_p - b_q)/2  of an
+    ``ExponentSet`` or a sequence of distinct pairs, which becomes one.
 
-    Each axis takes the transform at exact coordinate differences
-    (``_half_rows``).  Only the upper triangle is computed, turned by the
-    phases into the real form Re(conj(u_p) u_q G_pq) of an aligned section
-    (``_aligned_phases``), and mirrored below as its conjugate transpose, so
-    the matrix is exactly Hermitian.  An axis on which two points agree adds
-    exactly ft(m, 0)/2 = 1/2, so the diagonal is exactly 1; the real form's
-    is set to 1, which |u_p|^2 may miss by an ulp.  Entries are a few ulps
-    from exact however far the points or supports sit from 0.  Duplicates
-    and the alignment are found on the exact grids.
+    Each axis takes the transform at exact coordinate differences, on the
+    integer grid of the set's line keys (``_half_rows``).  Only the upper
+    triangle is computed, turned by the phases into the real form
+    Re(conj(u_p) u_q G_pq) of an aligned section (``_aligned_phases``), and
+    mirrored below as its conjugate transpose, so the matrix is exactly
+    Hermitian.  An axis on which two points agree adds exactly
+    ft(m, 0)/2 = 1/2, so the diagonal is exactly 1; the real form's is set
+    to 1, which |u_p|^2 may miss by an ulp.  Entries are a few ulps from
+    exact however far the points or supports sit from 0.  The set rejects
+    duplicate points, and the alignment is found on the exact grids.
     """
     import numpy as np
 
-    pairs = tuple(pairs)
-    n = len(pairs)
+    es = _as_set(points)
+    n = len(es)
     if n == 0:
         raise MalformedInputError("empty pair list")
     if n > MATRIX_CAP:
         raise MalformedInputError(f"section size {n} exceeds cap {MATRIX_CAP}")
-    x, y = _axes(s, pairs)
+    x, y = _axes(s, es)
     u = _aligned_phases(s, x, y)
     g = np.empty((n, n), dtype=complex if u is None else float)
     for rows, block in _row_blocks(x, y, upper=True):
@@ -212,7 +227,7 @@ def assemble(s: AdditiveSpace, pairs: Sequence[ExponentPair]) -> GramMatrix:
     if u is not None:
         np.fill_diagonal(g, 1.0)
     g.flags.writeable = False
-    return GramMatrix(pairs, g, u)
+    return GramMatrix(es, g, u)
 
 
 def combination_norm_sq(s: AdditiveSpace, c: FiniteCombination) -> float:
@@ -221,7 +236,7 @@ def combination_norm_sq(s: AdditiveSpace, c: FiniteCombination) -> float:
     import numpy as np
 
     v = np.array([coeff for _, coeff in c.terms])
-    blocks = _row_blocks(*_axes(s, [p for p, _ in c.terms]))
+    blocks = _row_blocks(*_axes(s, ExponentSet(p for p, _ in c.terms)))
     return float(sum(v[rows] @ (block @ v.conj()) for rows, block in blocks).real)
 
 
@@ -376,20 +391,25 @@ class SectionCertificate:
 
 def riesz_section_certificate(
     s: AdditiveSpace,
-    pairs: Sequence[ExponentPair],
+    points,
     sizes: Sequence[int],
 ) -> SectionCertificate:
-    """Eigenvalue certificate over nested prefixes of ``pairs``.
+    """Eigenvalue certificate over nested prefixes of ``points``, an
+    ``ExponentSet`` or a sequence of distinct pairs, which becomes one.
 
-    Sections are leading principal submatrices of one assembled Gram matrix,
-    so they are nested and the extremal eigenvalues interlace.  The first
-    section whose smallest eigenvalue falls below DEGENERATE_TOL supplies the
-    null combination.  If its prefix contains a zigzag loop (the integer
-    union-find search of ``find_zigzag_loop``), the combination is the
-    loop's exact alternation and no eigenvector is computed; a loop-free
-    degenerate prefix, such as a near-duplicate pair of points, takes the
-    conjugate of the unit eigenvector of its smallest eigenvalue from
-    ``np.linalg.eigh``: the coefficients c with  ||sum c_p e_p||^2 = lambda.
+    ``sizes`` must be strictly ascending: a repeated size would compare a
+    section with itself and fake a stable floor.  Sections are leading
+    principal submatrices of one Gram matrix, assembled on the set's prefix
+    (``ExponentSet.prefix``), so they are nested and the extremal
+    eigenvalues interlace.  The first section whose smallest eigenvalue
+    falls below DEGENERATE_TOL supplies the null combination.  A prefix of
+    n points contains a zigzag loop exactly when the set's incidence forest
+    closes its first loop at a point before n, and that loop
+    (``find_zigzag_loop``) lies in the prefix; its exact alternation is the
+    combination and no eigenvector is computed.  A loop-free degenerate
+    prefix, such as a near-duplicate pair of points, takes the conjugate of
+    the unit eigenvector of its smallest eigenvalue from ``np.linalg.eigh``:
+    the coefficients c with  ||sum c_p e_p||^2 = lambda.
 
     Every eigenvalue and eigenvector comes from the assembled ``entries``:
     the real symmetric form of a phase-aligned section, whose eigenvector v
@@ -400,13 +420,13 @@ def riesz_section_certificate(
     """
     import numpy as np
 
-    pairs = tuple(pairs)
+    es = _as_set(points)
     sizes = tuple(int(n) for n in sizes)
-    if not sizes or any(n <= 0 or n > len(pairs) for n in sizes):
+    if not sizes or any(n <= 0 or n > len(es) for n in sizes):
         raise MalformedInputError("section sizes must be in 1..len(pairs)")
-    if list(sizes) != sorted(sizes):
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise MalformedInputError("section sizes must be ascending")
-    full = assemble(s, pairs[: sizes[-1]])
+    full = assemble(s, es.prefix(sizes[-1]))
     e = full.entries
     side = _halves(e)
     mins: List[float] = []
@@ -417,18 +437,16 @@ def riesz_section_certificate(
         mins.append(low)
         maxs.append(high)
         if null_comb is None and low < DEGENERATE_TOL:
-            loop = find_zigzag_loop(ExponentSet(pairs[:n]))
-            if loop is not None:
-                null_comb = loop_alternation(loop)
+            closing = es._forest[1]
+            if closing is not None and closing < n:
+                null_comb = loop_alternation(find_zigzag_loop(es))
             else:
                 _, vecs = np.linalg.eigh(e[:n, :n])
                 # the squared norm of sum c_p e_p is c^T G conj(c), so the
                 # coefficients are the conjugate of G's eigenvector u * v
                 u = full.phases
                 c = vecs[:, 0].conj() if u is None else u[:n].conj() * vecs[:, 0]
-                null_comb = FiniteCombination(
-                    tuple((pairs[i], complex(c[i])) for i in range(n))
-                )
+                null_comb = FiniteCombination(tuple(zip(es.points[:n], map(complex, c))))
     floor = min(mins)
     if null_comb is not None:
         verdict = "degenerate"

@@ -96,20 +96,24 @@ class IntervalUnionMeasure(Frozen):
 INT64_SAFE = 2**62  # int64 holds every product of the phase reductions below it
 
 
-def exact_grid(values) -> Tuple[np.ndarray, int]:
+def exact_grid(values, ids=None) -> Tuple[np.ndarray, int]:
     """``(grid, D)``: exact values as integer numerators over their least
     common denominator D, the one place where frequencies and coordinates
     become integers.
 
     Ints and Fractions carry their own numerator and denominator; anything
     else goes through ``as_fraction`` (a float by its exact binary value).
-    The grid is int64 while every numerator and D are below 2^62, else an
-    object array of Python ints.  Values whose differences leave the float
-    range raise MalformedInputError.
+    With ``ids``, ``values`` are instead distinct lowest-terms (numerator,
+    denominator) keys, every one of them used, and entry k of the grid is
+    the numerator of key ids[k]: one numerator per key, gathered by index,
+    so an exponent set's line keys give the grid of its points.  The grid
+    is int64 while every numerator and D are below 2^62, else an object
+    array of Python ints.  Values whose differences leave the float range
+    raise MalformedInputError.
     """
     import numpy as np
 
-    ratios = [
+    ratios = values if ids is not None else [
         (v if type(v) is Fraction or type(v) is int else as_fraction(v)).as_integer_ratio()
         for v in values
     ]
@@ -118,7 +122,8 @@ def exact_grid(values) -> Tuple[np.ndarray, int]:
     top = max(map(abs, nums), default=0)
     if 2 * top > D * int(np.finfo(float).max):
         raise MalformedInputError("exact values exceed the float range")
-    return np.array(nums, dtype=np.int64 if max(top, D) < INT64_SAFE else object), D
+    grid = np.array(nums, dtype=np.int64 if max(top, D) < INT64_SAFE else object)
+    return (grid if ids is None else grid[ids]), D
 
 
 def residues(x, h: Fraction):

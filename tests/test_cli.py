@@ -35,6 +35,40 @@ def test_construct_then_gram_identity(tmp_path):
     assert report["body"]["certificate"]["verdict"] == "riesz-consistent"
 
 
+def test_gram_builds_no_pair_or_fraction_per_point(tmp_path, monkeypatch):
+    """A loop-free certificate reads its grids from the set's line keys: no
+    ExponentPair at all, and as many Fractions on 17 points as on 129."""
+    from addspec.exponents import ExponentPair
+
+    made = {"Fraction": 0, "ExponentPair": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            made[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def gram_counts(kind, space):
+        pts = tmp_path / "points.json"
+        assert main(["construct", *kind, "--out", str(pts)]) == 0
+        made.update(Fraction=0, ExponentPair=0)
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", counted("Fraction", Fraction.__new__))
+            m.setattr(ExponentPair, "__init__", counted("ExponentPair", ExponentPair.__init__))
+            m.setattr(ExponentPair, "_exact",
+                      classmethod(counted("ExponentPair", ExponentPair._exact.__func__)))
+            code, report = run_json(tmp_path, ["gram", "--space", space, "--points", str(pts),
+                                               "--check", "identity"])
+        assert code == 0 and "null_combination" not in report["body"]["certificate"]
+        return made["ExponentPair"], made["Fraction"]
+
+    onb = [gram_counts(["l-onb", "--N", str(n)], "L") for n in (8, 64)]
+    lev = [gram_counts(["lev", "--q", "3", "--depth", str(d)], "T") for d in (8, 64)]
+    assert onb[0] == onb[1] and lev[0] == lev[1]
+    assert onb[0][0] == lev[0][0] == 0
+
+
 @pytest.mark.parametrize("sizes, assemblies", [(None, 1), ("5,17", 1), ("5,9", 2)])
 def test_gram_identity_check_reuses_certificate_matrix(tmp_path, monkeypatch, sizes, assemblies):
     import addspec.cli

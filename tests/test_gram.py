@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -47,7 +48,8 @@ from addspec.gram import (
     monomial_pair,
     random_piecewise_linear,
 )
-from addspec.measures import IntervalUnionMeasure
+from addspec.exact import ratio
+from addspec.measures import IntervalUnionMeasure, exact_grid
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -77,7 +79,7 @@ def test_assemble_rejects_bad_input():
         # numerators past 2^62 take the object-dtype grid
         [ExponentPair(2**70, 1), ExponentPair(2**70, 1)],
     ):
-        with pytest.raises(MalformedInputError, match="duplicate pairs in Gram assembly"):
+        with pytest.raises(MalformedInputError, match="duplicate points in exponent set"):
             assemble(l_space(), dup)
     with pytest.raises(MalformedInputError):
         assemble(l_space(), [])
@@ -137,7 +139,8 @@ spaces = st.one_of(
 
 def kernel_rows(s, pairs):
     """G's complex rows as the kernel computes them (``gram._row_blocks``)."""
-    return np.concatenate([block.copy() for _, block in gram._row_blocks(*gram._axes(s, pairs))])
+    blocks = gram._row_blocks(*gram._axes(s, ExponentSet(pairs)))
+    return np.concatenate([block.copy() for _, block in blocks])
 
 
 def complex_gram(s, pairs):
@@ -186,7 +189,7 @@ def test_numerators_past_int64_use_python_ints():
     ]
     pairs += [ExponentPair(pairs[0].a, 5), ExponentPair(7, pairs[1].b)]  # shared coordinates
     for s in (t_space(), symmetric_space(10**9)):
-        assert _half_rows(s.mu, [p.a for p in pairs])[0].dtype == object
+        assert _half_rows(s.mu, ExponentSet(pairs), "x")[0].dtype == object
         assert_matches_reference(s, pairs)
 
 
@@ -197,7 +200,7 @@ def test_common_denominator_past_float_range():
     pairs = [ExponentPair(Fraction(j, p), Fraction(1 - j, p)) for j, p in enumerate(primes)]
     s = symmetric_space(Fraction(-1, 3))
     assert math.lcm(*primes).bit_length() > 1400
-    assert _half_rows(s.mu, [p.a for p in pairs])[0].dtype == object
+    assert _half_rows(s.mu, ExponentSet(pairs), "x")[0].dtype == object
     assert_matches_reference(s, pairs)
 
 
@@ -208,8 +211,8 @@ def test_int64_edge_differences_do_not_wrap():
     below = [ExponentPair(big, 0), ExponentPair(-big, 1), ExponentPair(0, Fraction(1, 3))]
     above = below + [ExponentPair(big + 1, 0)]
     s = plus_space()
-    assert _half_rows(s.mu, [p.a for p in below])[0].dtype == np.int64
-    assert _half_rows(s.mu, [p.a for p in above])[0].dtype == object
+    assert _half_rows(s.mu, ExponentSet(below), "x")[0].dtype == np.int64
+    assert _half_rows(s.mu, ExponentSet(above), "x")[0].dtype == object
     for pairs in (below, above):
         assert_matches_reference(s, pairs)
 
@@ -278,6 +281,45 @@ def test_large_denominators_match_mpmath():
         assert_near_mpmath(s, pairs)
 
 
+# spelled rationals: "1/2" and "2/4" are one line, as are "-3" and "-6/2"
+spelled = st.one_of(
+    st.builds(lambda n, d, k: f"{n * k}/{d * k}",
+              st.integers(-(2**70), 2**70), st.integers(1, 10**15), st.integers(1, 3)),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["1/2", "2/4", "-3/6", "-6/2", str(2**62), str(10**400), f"-{10**400}/3"]),
+)
+
+
+def _distinct_points(raw):
+    """The raw (x, y) entries as [x, y] lists, each point's first spelling only."""
+    points = {}
+    for p in raw:
+        points.setdefault(tuple(map(ratio, p)), list(p))
+    return list(points.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw=st.lists(st.tuples(spelled, spelled), min_size=1, max_size=7))
+def test_set_keys_give_the_exact_grid_of_every_prefix(raw):
+    """Each axis's grid read from a prefix's line keys is ``exact_grid`` of
+    its values: the same D, numerators and dtype, or the same rejection."""
+    data = _distinct_points(raw)
+    es = ExponentSet.from_json(data)
+    for n in range(1, len(data) + 1):
+        pre = es.prefix(n)
+        parsed = ExponentSet.from_json(data[:n])
+        assert (pre.xid, pre.yid, pre._keys) == (parsed.xid, parsed.yid, parsed._keys)
+        for axis, col in (("x", 0), ("y", 1)):
+            try:
+                want, D = exact_grid([p[col] for p in data[:n]])
+            except MalformedInputError as exc:
+                with pytest.raises(MalformedInputError, match=re.escape(str(exc))):
+                    exact_grid(*pre.axis_keys(axis))
+                continue
+            got, got_D = exact_grid(*pre.axis_keys(axis))
+            assert got_D == D and got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
 @pytest.mark.parametrize("pairs", [LATTICE, GAPPED], ids=["lattice", "gapped"])
 def test_table_and_direct_paths_match_mpmath(pairs):
     for s in (l_space(), symmetric_space(10**15), AdditiveSpace(SPLIT, t_space().nu)):
@@ -285,7 +327,8 @@ def test_table_and_direct_paths_match_mpmath(pairs):
 
 
 def _spans(s, pairs):
-    grids = (_half_rows(s.mu, [p.a for p in pairs])[0], _half_rows(s.nu, [p.b for p in pairs])[0])
+    es = ExponentSet(pairs)
+    grids = (_half_rows(s.mu, es, "x")[0], _half_rows(s.nu, es, "y")[0])
     return [int(g.max() - g.min()) for g in grids]
 
 
@@ -340,10 +383,10 @@ def test_identity_deviation_equals_whole_matrix_maximum(n):
     # the largest deviation on the diagonal, and a NaN entry, are both kept
     entries = g.entries.astype(complex)
     entries[n - 1, n - 1] = 3 - 1j
-    g = GramMatrix(g.pairs, entries)
+    g = GramMatrix(g.points, entries)
     assert identity_deviation(g) == float(np.max(np.abs(entries - np.eye(n)))) == abs(2 - 1j)
     entries[0, n - 1] = np.nan
-    assert math.isnan(identity_deviation(GramMatrix(g.pairs, entries)))
+    assert math.isnan(identity_deviation(GramMatrix(g.points, entries)))
 
 
 def test_identity_deviation_forms_no_full_temporary():
@@ -426,6 +469,15 @@ def test_certificate_rejects_bad_sizes():
         riesz_section_certificate(l_space(), pairs, [99])
 
 
+def test_certificate_rejects_repeated_sizes():
+    # a repeated size compares a section with itself, so its floor looks stable
+    pairs = lev_style_set(2, 7).points
+    assert riesz_section_certificate(l_space(), pairs, [4, 8]).verdict == "indeterminate"
+    for sizes in ([8, 8], [4, 8, 8], [4, 4, 8]):
+        with pytest.raises(MalformedInputError, match="ascending"):
+            riesz_section_certificate(l_space(), pairs, sizes)
+
+
 # ---------------------------------------------------------------------------
 # Null combinations: the exact loop alternation, the eigenvector otherwise.
 # ---------------------------------------------------------------------------
@@ -501,13 +553,27 @@ def test_loop_alternation_projects_to_exactly_zero(m, eigh_calls):
 def test_loop_lies_in_the_first_degenerate_prefix(eigh_calls):
     # a ladder whose first loop closes at the 10th point and a second at the 20th
     pairs = _antidiagonal(6) + _rectangle(20, 20) + _antidiagonal(6, start=6) + _rectangle(40, 40)
-    cert = riesz_section_certificate(l_space(), pairs, [6, 10, 16, 20])
-    assert cert.verdict == "degenerate"
-    assert cert.lambda_min[0] == pytest.approx(1.0, abs=1e-10)
-    assert all(w < 1e-9 for w in cert.lambda_min[1:])
-    terms = {p for p, _ in cert.null_combination.terms}
-    assert terms == set(pairs[6:10])
+    # the first degenerate size ends at the closing point (10) or lies past it (16, 20)
+    for sizes in ([6, 10, 16, 20], [6, 16, 20], [6, 20]):
+        cert = riesz_section_certificate(l_space(), pairs, sizes)
+        assert cert.verdict == "degenerate"
+        assert cert.lambda_min[0] == pytest.approx(1.0, abs=1e-10)
+        assert all(w < 1e-9 for w in cert.lambda_min[1:])
+        terms = {p for p, _ in cert.null_combination.terms}
+        assert terms == set(pairs[6:10])
     assert eigh_calls == []
+    # a near-duplicate pair makes the first 5 points degenerate with no loop:
+    # the rectangle after it closes its loop at the 6th point, past that size
+    tiny = Fraction(1, 10**12)
+    pairs = [ExponentPair(0, 0), ExponentPair(tiny, tiny)] + _rectangle(20, 20)
+    cert = riesz_section_certificate(l_space(), pairs, [5, 6])
+    assert [p for p, _ in cert.null_combination.terms] == pairs[:5]
+    assert eigh_calls == [5]
+    # once the prefix holds the closing point, the loop replaces the eigenvector
+    cert = riesz_section_certificate(l_space(), pairs, [6])
+    assert {p for p, _ in cert.null_combination.terms} == set(pairs[2:])
+    assert [abs(c) for _, c in cert.null_combination.terms] == [0.5] * 4
+    assert eigh_calls == [5]
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +778,7 @@ def test_diagonal_off_one_keeps_the_dense_step():
     e[0, 0] = np.nextafter(1.0, 2.0)
     assert gram._halves(e) is None
     with _counted_eigvalsh() as calls:
-        got = extremal_eigenvalues(GramMatrix(g.pairs, e))
+        got = extremal_eigenvalues(GramMatrix(g.points, e))
     assert calls == [4]
     w = np.linalg.eigvalsh(e)
     assert got == (float(w[0]), float(w[-1]))
