@@ -10,15 +10,21 @@ from a dense eigenvector.  A positive, stabilizing floor across nested
 sections is evidence only, and the verdict labels say so.
 
 The eigen step runs on a real symmetric matrix when the section allows it.
-Every preset component is one interval, symmetric about its centre c, so
-ft(m, lam) is e^{2 pi i lam c} times a real number; when 2 (b c_y - a c_x)
-mod 1 is the same for every point (a, b), as on integer lattices, lev sets,
-the L ONB and mirror spectra, the phases u = e^{2 pi i a c_x} make
-conj(u_p) G_pq u_q real, with exactly the eigenvalues of G.  The test is
-exact, on the integer grids of the assembly, and comes first: ``assemble``
-then builds that real symmetric matrix in place of G, one float64 n x n
-array.  Other sections, such as a doubled non-overlap spectrum, stay
-complex Hermitian.
+Every preset component is one interval of unit width, so ft(m, d) is exactly
+0 at every nonzero integer d.  On a set whose coordinates are congruent mod 1
+on each axis (integer lattices, lev sets, staircases), G is therefore
+exactly 1/2 [same x line] + 1/2 [same y line], that is 1/2 B^T B for the
+line-point incidence matrix B of the zigzag graph: ``assemble`` fills it from
+the set's line ids, real and exactly in {0, 1/2, 1}, with no transform.
+The test is exact, per axis, on the integer grids of the assembly.
+Otherwise the interval, symmetric about its centre c, makes ft(m, lam)
+e^{2 pi i lam c} times a real number; when 2 (b c_y - a c_x) mod 1 is the
+same for every point (a, b), as on the L ONB and mirror spectra, the phases
+u = e^{2 pi i a c_x} make conj(u_p) G_pq u_q real, with exactly the
+eigenvalues of G.  That test is exact too and comes first: ``assemble`` then
+builds that real symmetric matrix in place of G, one float64 n x n array.
+Other sections, such as a doubled non-overlap spectrum, stay complex
+Hermitian.
 
 Sections are taken of an ``ExponentSet``, which has rejected duplicate
 points already.  Each axis's integer grid is read from the set's line keys
@@ -79,12 +85,15 @@ class GramMatrix:
     ``points`` is the ``ExponentSet`` of its rows, in order, with its line
     ids: row p is the p-th point.
 
-    ``phases`` is a unit vector u, set by ``assemble`` when the exact test of
-    ``_aligned_phases`` shows that  conj(u_p) G_pq u_q  is real: a diagonal
-    unitary similarity, so that real symmetric matrix has the eigenvalues of
-    G.  ``entries`` is then that float64 matrix, not G, and an eigenvector v
-    of it is u * v for G; otherwise ``entries`` is G itself, complex.
-    Either way it is the matrix the eigen step factorizes.
+    ``entries`` is the matrix the eigen step factorizes.  On a set whose
+    axes both take line-id rows (``_half_rows``), as integer sets do, it is
+    G itself, float64 and exactly in {0, 1/2, 1}, and ``phases`` is None.
+    Otherwise ``phases`` is a unit vector u, set by ``assemble`` when the
+    exact test of ``_aligned_phases`` shows that  conj(u_p) G_pq u_q  is
+    real: a diagonal unitary similarity, so that real symmetric matrix has
+    the eigenvalues of G.  ``entries`` is then that float64 matrix, not G,
+    and an eigenvector v of it is u * v for G; without phases ``entries`` is
+    G itself, complex.
     """
 
     points: ExponentSet
@@ -97,19 +106,35 @@ class GramMatrix:
 
 
 def _half_rows(m: IntervalUnionMeasure, es: ExponentSet, axis: str):
-    """One axis: the ``exact_grid`` of its coordinates and its denominator
-    D, read from the set's line keys, and ``rows(rows, cols, out)`` writing
-    ft(m, c_i - c_j)/2.
+    """One axis: ``(grid, D, rows, by_lines)``, the ``exact_grid`` of its
+    coordinates and its denominator D, read from the set's line keys,
+    ``rows(rows, cols, out)`` writing ft(m, c_i - c_j)/2, and whether those
+    rows come from the line ids.  Rows come in one of three modes:
 
-    A span small next to n^2 gets a table of ``transform_rows`` over it
-    against 0, extended by ft(-d) = conj ft(d), so its rows are exactly
-    Hermitian.  Otherwise (a huge gap, say) the rows are ``transform_rows``
-    on the grid itself, its phases and residues reduced once per point, so a
-    pair needs no Python int.
+    - line ids: m is one piece of width w and ``residues(grid, w / D)`` is
+      one value for every point, as on integer coordinates and unit pieces.
+      Every coordinate difference d is then a multiple of 1/w, so
+      ft(m, d) = [d == 0] exactly, and the rows are 0.5 where the points'
+      line ids agree and 0 elsewhere: real, with no transform.
+    - span table: a span small next to n^2 gets a table of
+      ``transform_rows`` over it against 0, extended by ft(-d) = conj ft(d),
+      so its rows are exactly Hermitian.
+    - direct: otherwise (a huge gap, say) the rows are ``transform_rows`` on
+      the grid itself, its phases and residues reduced once per point, so a
+      pair needs no Python int.
     """
     import numpy as np
 
-    grid, D = exact_grid(*es.axis_keys(axis))
+    keys, ids = es.axis_keys(axis)
+    ids = np.asarray(ids, dtype=np.intp)
+    grid, D = exact_grid(keys, ids)
+    if len(m.pieces) == 1:
+        l, r, _ = m.pieces[0]
+        k = residues(grid, (r - l) / D)
+        if np.all(k == k[0]):
+            return grid, D, lambda sl, cols, out: np.multiply(
+                ids[sl, None] == ids[cols], 0.5, out=out
+            ), True
     low = grid.min()
     span = int(grid.max() - low)
     if 2 * span + 1 <= len(grid) ** 2 / 4:
@@ -119,8 +144,8 @@ def _half_rows(m: IntervalUnionMeasure, es: ExponentSet, axis: str):
         at = np.asarray(grid - low, dtype=np.int64)
         return grid, D, lambda sl, cols, out: np.take(
             table, at[sl, None] - (at[cols] - span), out=out, mode="clip"
-        )
-    return grid, D, transform_rows(m, grid, D, 0.5)
+        ), False
+    return grid, D, transform_rows(m, grid, D, 0.5), False
 
 
 def _axes(s: AdditiveSpace, es: ExponentSet):
@@ -137,12 +162,13 @@ def _as_set(points) -> ExponentSet:
 def _row_blocks(x, y, upper=False):
     """Yield (rows, block), ROW_BLOCK Gram rows at a time, each block in its
     own buffer: whole rows, or (upper) the rows from the diagonal on, for
-    the caller to mirror."""
+    the caller to mirror.  Blocks are float64 when both axes take line-id
+    rows, else complex."""
     import numpy as np
 
-    (grid, _, x_rows), (_, _, y_rows) = x, y
+    (grid, _, x_rows, x_lines), (_, _, y_rows, y_lines) = x, y
     n = len(grid)
-    buf = np.empty((2, ROW_BLOCK * n), dtype=complex)
+    buf = np.empty((2, ROW_BLOCK * n), dtype=float if x_lines and y_lines else complex)
     for start in range(0, n, ROW_BLOCK):
         rows = slice(start, min(start + ROW_BLOCK, n))
         cols = slice(start if upper else 0, n)
@@ -175,7 +201,7 @@ def _aligned_phases(s: AdditiveSpace, x, y):
     """
     import numpy as np
 
-    (grid_x, D_x, _), (grid_y, D_y, _) = x, y
+    (grid_x, D_x, _, _), (grid_y, D_y, _, _) = x, y
     c_x, c_y = _centre(s.mu), _centre(s.nu)
     if c_x is None or c_y is None:
         return None
@@ -193,16 +219,19 @@ def assemble(s: AdditiveSpace, points) -> GramMatrix:
     """Gram matrix  ft(mu, a_p - a_q)/2 + ft(nu, b_p - b_q)/2  of an
     ``ExponentSet`` or a sequence of distinct pairs, which becomes one.
 
-    Each axis takes the transform at exact coordinate differences, on the
-    integer grid of the set's line keys (``_half_rows``).  Only the upper
-    triangle is computed, turned by the phases into the real form
-    Re(conj(u_p) u_q G_pq) of an aligned section (``_aligned_phases``), and
-    mirrored below as its conjugate transpose, so the matrix is exactly
-    Hermitian.  An axis on which two points agree adds exactly
-    ft(m, 0)/2 = 1/2, so the diagonal is exactly 1; the real form's is set
-    to 1, which |u_p|^2 may miss by an ulp.  Entries are a few ulps from
-    exact however far the points or supports sit from 0.  The set rejects
-    duplicate points, and the alignment is found on the exact grids.
+    Each axis takes its rows on the integer grid of the set's line keys
+    (``_half_rows``).  When both axes take line-id rows, as on integer
+    sets, the section is G itself, 1/2 [same x line] + 1/2 [same y line]:
+    real, exactly in {0, 1/2, 1}, filled ROW_BLOCK whole rows at a time.
+    Otherwise only the upper triangle is computed, turned by the phases
+    into the real form Re(conj(u_p) u_q G_pq) of an aligned section
+    (``_aligned_phases``), and mirrored below as its conjugate transpose,
+    so the matrix is exactly Hermitian.  An axis on which two points agree
+    adds exactly ft(m, 0)/2 = 1/2, so the diagonal is exactly 1; the real
+    form's is set to 1, which |u_p|^2 may miss by an ulp.  Entries are a
+    few ulps from exact however far the points or supports sit from 0.  The
+    set rejects duplicate points, and the row modes and the alignment are
+    decided on the exact grids.
     """
     import numpy as np
 
@@ -213,6 +242,12 @@ def assemble(s: AdditiveSpace, points) -> GramMatrix:
     if n > MATRIX_CAP:
         raise MalformedInputError(f"section size {n} exceeds cap {MATRIX_CAP}")
     x, y = _axes(s, es)
+    if x[3] and y[3]:
+        g = np.empty((n, n))
+        for rows, block in _row_blocks(x, y):
+            g[rows] = block
+        g.flags.writeable = False
+        return GramMatrix(es, g)
     u = _aligned_phases(s, x, y)
     g = np.empty((n, n), dtype=complex if u is None else float)
     for rows, block in _row_blocks(x, y, upper=True):
@@ -412,8 +447,9 @@ def riesz_section_certificate(
     the coefficients c with  ||sum c_p e_p||^2 = lambda.
 
     Every eigenvalue and eigenvector comes from the assembled ``entries``:
-    the real symmetric form of a phase-aligned section, whose eigenvector v
-    is ``phases * v`` for G, or the Hermitian G itself.
+    G itself, real on a set whose axes both take line-id rows, the real
+    symmetric form of a phase-aligned section, whose eigenvector v is
+    ``phases * v`` for G, or the complex Hermitian G.
     The largest section is split into orthonormal halves once (``_halves``),
     when it can be, and every nested section takes the half-size step on the
     split restricted to it; otherwise each takes the dense ``eigvalsh``.

@@ -95,6 +95,38 @@ def test_gram_identity_check_reuses_certificate_matrix(tmp_path, monkeypatch, si
     assert len(calls) == assemblies
 
 
+@pytest.mark.parametrize("space", ["L", "Plus", "T"])
+def test_gram_identity_on_integer_sets_is_exact(tmp_path, space):
+    # an integer set's section is exactly 1/2 [same x] + 1/2 [same y]
+    lev, apart = tmp_path / "lev.json", tmp_path / "apart.json"
+    assert main(["construct", "lev", "--q", "2", "--depth", "9", "--out", str(lev)]) == 0
+    apart.write_text(json.dumps([[k, -3 * k] for k in range(-6, 7)]), encoding="utf-8")
+    for pts, want in ((lev, 0.5), (apart, 0.0)):
+        code, report = run_json(
+            tmp_path, ["gram", "--space", space, "--points", str(pts), "--check", "identity"]
+        )
+        assert code == 0
+        assert report["body"]["identity_check"]["max_abs_deviation"] == want
+
+
+@pytest.mark.parametrize("points", [
+    [[0, 0], [0, 1], [1, 1], [1, 2], [2, 2], [7, -4]],
+    [[0, 0], [0, 3], [5, 3], [5, 0], [1, 1], [2, 1]],
+], ids=["staircase", "rectangle"])
+def test_integer_points_on_a_far_denominator_space_give_the_l_body(tmp_path, points):
+    # on [3^-50, 1 + 3^-50] the phase reductions run past 2^63, yet integer
+    # points give G itself, so the body is the one on L
+    pts = tmp_path / "points.json"
+    pts.write_text(json.dumps(points), encoding="utf-8")
+    bodies = []
+    for space in ("L", f"Symmetric:t=1/{3**50}"):
+        code, report = run_json(tmp_path, ["gram", "--space", space, "--points", str(pts),
+                                           "--sizes", "4,6", "--check", "identity"])
+        assert code == 0
+        bodies.append(json.dumps({**report["body"], "space": None}, sort_keys=True))
+    assert bodies[0] == bodies[1]
+
+
 def test_far_offset_mirror_identity(tmp_path):
     pts = tmp_path / "mirror.json"
     k = "1000000000"

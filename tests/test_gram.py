@@ -49,7 +49,7 @@ from addspec.gram import (
     random_piecewise_linear,
 )
 from addspec.exact import ratio
-from addspec.measures import IntervalUnionMeasure, exact_grid
+from addspec.measures import IntervalUnionMeasure, exact_grid, transform_rows
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -626,18 +626,49 @@ UNALIGNED = {
 }
 
 
+def transform_kernel(s, pairs):
+    """G from ``measures.transform_rows`` on each axis's ``exact_grid``,
+    whichever rows ``gram._half_rows`` would take."""
+    n = len(pairs)
+    g = np.zeros((n, n), dtype=complex)
+    for m, values in ((s.mu, [p.a for p in pairs]), (s.nu, [p.b for p in pairs])):
+        rows = transform_rows(m, *exact_grid(values), 0.5)
+        g += rows(slice(None), slice(None), np.empty((n, n), dtype=complex))
+    return g
+
+
+def line_gram(pairs):
+    """1/2 [same x] + 1/2 [same y], from the exact coordinates."""
+    return np.array([[(p.a == q.a) / 2 + (p.b == q.b) / 2 for q in pairs] for p in pairs])
+
+
+def _by_lines(s, pairs):
+    """Whether each axis of the section takes line-id rows."""
+    x, y = gram._axes(s, ExponentSet(pairs))
+    return x[3], y[3]
+
+
 @pytest.mark.parametrize("space, pairs", ALIGNED.values(), ids=ALIGNED.keys())
 def test_aligned_sections_take_the_real_eigen_step(space, pairs):
+    # integer sets (the lattices and lev sets) are G itself, from the line
+    # ids; the others are the phase-rotated real form of G
     s = space_from_name(space)
     g = assemble(s, pairs)
-    u = g.phases
+    integer = all(p.a.denominator == p.b.denominator == 1 for p in pairs)
+    assert _by_lines(s, pairs) == (integer, integer)
+    u = gram._aligned_phases(s, *gram._axes(s, ExponentSet(pairs)))
     assert u is not None
-    kernel = kernel_rows(s, pairs)
+    kernel = transform_kernel(s, pairs) if integer else kernel_rows(s, pairs)
     rotated = u.conj()[:, None] * kernel * u
     assert np.max(np.abs(rotated.imag)) <= 4 * np.finfo(float).eps
     r = g.entries
     assert r.dtype == np.float64 and np.array_equal(r, r.T)
-    assert np.max(np.abs(r - rotated.real)) <= 4 * np.finfo(float).eps
+    if integer:
+        assert g.phases is None
+        assert np.array_equal(r, line_gram(pairs)) and np.array_equal(r, kernel)
+    else:
+        assert np.array_equal(g.phases, u)
+    assert np.max(np.abs(r - (kernel.real if integer else rotated.real))) <= 4 * np.finfo(float).eps
     want = np.linalg.eigvalsh(kernel)
     for w, got in zip((want[0], want[-1]), extremal_eigenvalues(g)):
         assert abs(got - w) <= 1e-13 * max(1.0, abs(w))
@@ -695,6 +726,109 @@ def test_loop_free_null_combination_norm_is_lambda_min(step, eigh_calls):
     assert abs(v1 / v0 + 1) > 1e-3
     conj = FiniteCombination(tuple((p, c.conjugate()) for p, c in cert.null_combination.terms))
     assert combination_norm_sq(s, conj) > 1e-7
+
+
+# ---------------------------------------------------------------------------
+# Sets congruent mod 1 on each axis: G is 1/2 [same x] + 1/2 [same y].
+# ---------------------------------------------------------------------------
+
+unit_spaces = st.one_of(
+    st.sampled_from(["L", "Plus", "T"]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=50).map(lambda t: f"Symmetric:t={t}"),
+)
+
+
+@st.composite
+def congruent_sets(draw):
+    """A shuffled staircase, loop-free or beside a planted rectangle, plus a
+    few loose integer points, all moved by one rational offset per axis."""
+    looped = draw(st.booleans())
+    pts = set(staircase_zigzag(draw(st.integers(1, 12)), start=(-3, -3)).vertices)
+    if looped:
+        pts |= set(_rectangle(20, 20))
+    # loose points on fresh x lines, each on its own y line: leaves, no loop
+    pts |= {ExponentPair(a, 50 + 2 * a) for a in draw(st.sets(st.integers(-40, -10), max_size=8))}
+    offset = draw(st.tuples(*[st.fractions(0, 1, max_denominator=30)] * 2))
+    pairs = [ExponentPair(p.a + offset[0], p.b + offset[1]) for p in pts]
+    pairs = draw(st.permutations(sorted(pairs, key=lambda p: (p.a, p.b))))
+    assert (find_zigzag_loop(ExponentSet(pairs)) is not None) == looped
+    return pairs
+
+
+@settings(max_examples=40, deadline=None)
+@given(space=unit_spaces, pairs=congruent_sets(), data=st.data())
+def test_congruent_sets_take_line_id_rows(space, pairs, data):
+    s = space_from_name(space)
+    assert _by_lines(s, pairs) == (True, True)
+    g = assemble(s, pairs)
+    assert g.phases is None and g.entries.dtype == np.float64
+    assert np.array_equal(g.entries, line_gram(pairs))
+    # the per-entry kernel is exact at these differences too
+    ref = np.array([[exp_inner(s, p, q) for q in pairs] for p in pairs])
+    assert np.array_equal(g.entries, ref)
+    # one coordinate off by 1/7 sends its axis back to the transform
+    i, axis = data.draw(st.integers(0, len(pairs) - 1)), data.draw(st.sampled_from("xy"))
+    step = Fraction(1, 7)
+    moved = list(pairs)
+    p = moved[i]
+    moved[i] = ExponentPair(p.a + step, p.b) if axis == "x" else ExponentPair(p.a, p.b + step)
+    assert _by_lines(s, moved) == ((axis == "y"), (axis == "x"))
+    assert_matches_reference(s, moved)
+
+
+NEAR = Fraction(1, 3**50)
+FAR_INT64 = {
+    # D = 3^50 is past 2^63, and so is the quarter-turn modulus of residues
+    "denominator_past_2^63": (l_space(), [ExponentPair(p.a + NEAR, p.b) for p in _rectangle(0, 0)]),
+    "numerators_past_2^62": (t_space(), [ExponentPair(2**70 + p.a, p.b) for p in _rectangle(0, 0)]),
+    # an all-zero grid on a piece of width 3^-50: residues' max(1, ...) rule
+    "all_zero_grid": (
+        AdditiveSpace(IntervalUnionMeasure.from_pieces([(0, NEAR, 1)]), l_space().nu),
+        [ExponentPair(0, b) for b in range(-3, 4)],
+    ),
+}
+
+
+@pytest.mark.parametrize("s, pairs", FAR_INT64.values(), ids=FAR_INT64.keys())
+def test_line_id_rows_at_the_int64_edges(s, pairs):
+    assert _by_lines(s, pairs) == (True, True)
+    g = assemble(s, pairs)
+    ref = np.array([[exp_inner(s, p, q) for q in pairs] for p in pairs])
+    assert np.array_equal(g.entries, line_gram(pairs)) and np.array_equal(g.entries, ref)
+    # a near miss: one point 3^-50 off the others' residue keeps the transform
+    near = [ExponentPair(p.a + NEAR * (i == 1), p.b) for i, p in enumerate(pairs)]
+    assert _by_lines(s, near) == (False, True)
+    assert_matches_reference(s, near)
+
+
+def test_integer_sets_need_no_span_table():
+    # 2048 points over [0, 5e5)^2: both spans are under the table threshold,
+    # where each axis kept a 2 * span + 1 complex table beside the section
+    rng = np.random.default_rng(5)
+    pool = dict.fromkeys(map(tuple, rng.integers(0, 500000, (2100, 2)).tolist()))
+    pairs = [ExponentPair(a, b) for a, b in pool][:2048]
+    n, s = len(pairs), l_space()
+    assert n == 2048 and all(2 * span + 1 <= n * n / 4 for span in _spans(s, pairs))
+    es = ExponentSet(pairs)
+    assemble(s, es)  # warm-up
+    tracemalloc.start()
+    try:
+        g = assemble(s, es)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.phases is None and g.entries.dtype == np.float64
+    assert peak <= 1.1 * 8 * n**2
+
+
+@pytest.mark.parametrize("space", ["L", "Plus", "T", "Symmetric:t=2/7"])
+def test_alternating_norm_is_exact_on_integer_sets(space, rectangle_points):
+    # the loop obstruction with no rounding: a loop's alternation is exactly
+    # null, and an open staircase's leaves one unit exponential per axis
+    s = space_from_name(space)
+    assert alternating_zigzag_norm(s, find_zigzag_loop(rectangle_points)) == 0.0
+    for length in (1, 2, 7, 40):
+        assert alternating_zigzag_norm(s, staircase_zigzag(length, start=(3, -2))) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -758,9 +892,17 @@ def test_orthonormal_sets_have_eigenvalues_exactly_one():
 
 
 def test_generic_phases_keep_the_diagonal_exactly_one():
-    # (l, l) on [t, t + 1] is aligned and orthonormal; the phases
-    # e^{2 pi i l (t + 1/2)} are generic, and some miss |u|^2 = 1 by an ulp
-    g = assemble(symmetric_space(Fraction(1, 1000003)), [ExponentPair(l, l) for l in range(-20, 21)])
+    # (l, l) with x on [t, t + 1] and y on two unit pieces mirrored about
+    # the same centre c = t + 1/2 is aligned and orthonormal; only the x axis
+    # takes line-id rows, so the section keeps its phases e^{2 pi i l c},
+    # which are generic, and some miss |u|^2 = 1 by an ulp
+    x = symmetric_space(Fraction(1, 1000003)).mu
+    c = Fraction(1, 1000003) + Fraction(1, 2)
+    y = IntervalUnionMeasure.from_pieces([(c - 3, c - 2, "1/2"), (c + 2, c + 3, "1/2")])
+    pairs = [ExponentPair(l, l) for l in range(-20, 21)]
+    s = AdditiveSpace(x, y)
+    assert _by_lines(s, pairs) == (True, False)
+    g = assemble(s, pairs)
     assert np.any(np.abs(g.phases) ** 2 != 1)
     e = g.entries
     assert np.all(e.diagonal() == 1.0)
