@@ -13,33 +13,40 @@ supported only as piecewise polynomials, integrated in closed form: on each
 overlap of a measure piece and a function piece, the moments of
 t^k e^{i omega t} on [-1, 1] for all frequencies at once, with the phases
 reduced exactly by ``measures.unit_phase``.  The cost does not grow with
-|freq|, and the values stay a few ulps from exact.
+|freq|, and the values stay a few ulps from exact.  Frame coefficients hand
+the quadrature each axis's integer numerators over one denominator, negated
+as integers; an ``ExponentSet`` gives them from its line keys, so its
+points become no Fractions.
 
 The exponent pairs themselves, ``ExponentPair``, are defined in ``exponents``
 (which needs no numpy) and imported here, so
-``addspec.additive_space.ExponentPair`` names the same class.  numpy is
-imported inside the functions that compute with it, so importing this module
-loads none.
+``addspec.additive_space.ExponentPair`` names the same class.  The records
+here are ``exact.Frozen`` values with hand-written constructors, and numpy
+is imported inside the functions that compute with it, so importing this
+module loads neither numpy nor ``dataclasses``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import MalformedInputError
-from .exponents import ExponentPair
+from .exact import Frozen
+from .exponents import ExponentPair, ExponentSet
 from .measures import IntervalUnionMeasure, as_fraction, exact_grid, fourier_transform, unit_phase
 
 
-@dataclass(frozen=True)
-class AdditiveSpace:
+class AdditiveSpace(Frozen):
     """Pair of component measures placed on the x and y axes."""
 
-    mu: IntervalUnionMeasure
-    nu: IntervalUnionMeasure
+    __slots__ = ("mu", "nu")
+    _fields = ("mu", "nu")
+
+    def __init__(self, mu: IntervalUnionMeasure, nu: IntervalUnionMeasure):
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "nu", nu)
 
 
 def l_space() -> AdditiveSpace:
@@ -81,14 +88,14 @@ def space_from_name(name: str) -> AdditiveSpace:
     raise MalformedInputError(f"unknown space preset {name!r}")
 
 
-@dataclass(frozen=True)
-class FiniteCombination:
+class FiniteCombination(Frozen):
     """Finite linear combination of exponentials; pairs are distinct."""
 
-    terms: Tuple[Tuple[ExponentPair, complex], ...]
+    __slots__ = ("terms",)
+    _fields = ("terms",)
 
-    def __post_init__(self):
-        terms = tuple((p, complex(c)) for p, c in self.terms)
+    def __init__(self, terms: Tuple[Tuple[ExponentPair, complex], ...]):
+        terms = tuple((p, complex(c)) for p, c in terms)
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise MalformedInputError("combination needs at least one term")
@@ -124,8 +131,7 @@ def projection_coefficients(c: FiniteCombination, axis: str) -> Dict[Fraction, c
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PiecewisePolynomial:
+class PiecewisePolynomial(Frozen):
     """Polynomial pieces (left, right, coeffs) in the global coordinate.
 
     Coefficients are low-to-high degree.  The function is zero outside its
@@ -133,12 +139,13 @@ class PiecewisePolynomial:
     (such as a rescaled window) integrate correctly.
     """
 
-    pieces: Tuple[Tuple[Fraction, Fraction, Tuple[complex, ...]], ...]
+    __slots__ = ("pieces",)
+    _fields = ("pieces",)
 
-    def __post_init__(self):
+    def __init__(self, pieces: Tuple[Tuple[Fraction, Fraction, Tuple[complex, ...]], ...]):
         norm = tuple(
             (as_fraction(l), as_fraction(r), tuple(complex(c) for c in coeffs))
-            for l, r, coeffs in self.pieces
+            for l, r, coeffs in pieces
         )
         object.__setattr__(self, "pieces", norm)
         for l, r, coeffs in norm:
@@ -249,13 +256,17 @@ def _shifted(coeffs, mid: float, half: float):
     return out
 
 
-def measure_integral(m: IntervalUnionMeasure, fn: PiecewisePolynomial, freq=0.0):
+def measure_integral(
+    m: IntervalUnionMeasure, fn: PiecewisePolynomial, freq=0.0, denominator: Optional[int] = None
+):
     """Exact-moment evaluation of  integral of fn(x) e^{2 pi i f x} dm(x).
 
     ``freq`` is a scalar (a complex is returned) or an array or list of
     frequencies (an array of the same shape is returned); ints, Fractions,
     "p/q" strings and floats are taken at their exact value, as integer
-    numerators over one denominator D (``measures.exact_grid``).
+    numerators over one denominator D (``measures.exact_grid``).  With
+    ``denominator``, ``freq`` is such a grid already, an integer array of
+    numerators over D = ``denominator``, and is taken as it is.
 
     On each overlap [lo, hi] of a measure piece and a function piece,
     x = mid + half t turns the integral into
@@ -267,10 +278,14 @@ def measure_integral(m: IntervalUnionMeasure, fn: PiecewisePolynomial, freq=0.0)
     """
     import numpy as np
 
-    # an object array keeps every entry as given, where numpy would round a
-    # list mixing negatives and ints past 2^63 to float64
-    freqs = np.asarray(freq, dtype=object)
-    nums, D = exact_grid(freqs.ravel().tolist())
+    if denominator is None:
+        # an object array keeps every entry as given, where numpy would round
+        # a list mixing negatives and ints past 2^63 to float64
+        freqs = np.asarray(freq, dtype=object)
+        nums, D = exact_grid(freqs.ravel().tolist())
+    else:
+        freqs = np.asarray(freq)
+        nums, D = freqs.ravel(), denominator
     # true division rounds correctly for Python ints of any size
     f = np.array([x / D for x in nums.tolist()], dtype=float)
     total = np.zeros(f.shape, dtype=complex)
@@ -305,13 +320,35 @@ def measure_norm_sq(m: IntervalUnionMeasure, fn: PiecewisePolynomial) -> float:
 def frame_coefficients(
     s: AdditiveSpace,
     fn_pair: Tuple[PiecewisePolynomial, PiecewisePolynomial],
-    pairs: Sequence[ExponentPair],
+    points,
 ) -> np.ndarray:
-    """<F, e_{a,b}> in L^2(rho) for each pair, F given by its axis projections (f, g)."""
+    """<F, e_{a,b}> in L^2(rho) for each point (a, b) of ``points``, F given
+    by its axis projections (f, g).
+
+    ``points`` is an ``ExponentSet``, whose axes' integer grids are read
+    from its line keys (``exact_grid`` of ``axis_keys``), so no Fraction or
+    pair is built per point, or a sequence of pairs.
+    """
+    if isinstance(points, ExponentSet):
+        x, y = exact_grid(*points.axis_keys("x")), exact_grid(*points.axis_keys("y"))
+    else:
+        pairs = tuple(points)
+        x, y = exact_grid([p.a for p in pairs]), exact_grid([p.b for p in pairs])
+    return grid_coefficients(s, fn_pair, x, y)
+
+
+def grid_coefficients(
+    s: AdditiveSpace,
+    fn_pair: Tuple[PiecewisePolynomial, PiecewisePolynomial],
+    x: Tuple[np.ndarray, int],
+    y: Tuple[np.ndarray, int],
+) -> np.ndarray:
+    """<F, e_{a,b}> for the points whose coordinates are given as integer
+    grids ``x`` and ``y``, each (numerators, D) as ``exact_grid`` makes
+    them: the integrals of f and g at the numerators negated as integers."""
+    (a, D_a), (b, D_b) = x, y
     f, g = fn_pair
-    a = [-p.a for p in pairs]
-    b = [-p.b for p in pairs]
-    return 0.5 * measure_integral(s.mu, f, a) + 0.5 * measure_integral(s.nu, g, b)
+    return 0.5 * measure_integral(s.mu, f, -a, D_a) + 0.5 * measure_integral(s.nu, g, -b, D_b)
 
 
 def pair_norm_sq(

@@ -18,11 +18,11 @@ modules and construct only ``constructions`` and ``measures``.  No module
 loads numpy on import, so both run on the standard library alone.  Analyze
 reads each line's float from its exact key, and builds a Fraction only for
 the points of a loop it prints; gram hands the loaded set itself to the
-certificate, which reads its grids from the same keys.  It loads neither
-``dataclasses`` (nor the ``inspect`` it imports) nor ``csv``: ``_encode``
-imports ``dataclasses`` only when it meets a result record, which the
-modules that define records have loaded already, and ``run`` imports
-``csv`` only for ``--format csv``.
+certificate and to the Parseval residuals, which read their grids from the
+same keys.  No command loads ``dataclasses``: every result record is an
+``exact.Frozen`` value, which ``_encode`` writes as a dict of its
+``_fields``.  Analyze loads no ``csv`` either (nor the ``inspect`` that
+numpy imports): ``run`` imports ``csv`` only for ``--format csv``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .exponents import (
     max_zigzag_length,
     multiplicity,
 )
-from .exact import as_fraction
+from .exact import Frozen, as_fraction
 
 # The commands read the names of measures, gram, ortho_solver, additive_space
 # and constructions as attributes of this module, ``_cli.assemble(...)``: the
@@ -174,7 +174,7 @@ def _cmd_gram(args: argparse.Namespace):
             ("cubic", _cli.monomial_pair(space, 3, 3)),
         ]
         body["parseval"] = [
-            {"test_fn": name, "residual": _cli.parseval_residual(space, es.points, fn)}
+            {"test_fn": name, "residual": _cli.parseval_residual(space, es, fn)}
             for name, fn in fams
         ]
     rows = list(zip(cert.sizes, cert.lambda_min, cert.lambda_max))
@@ -290,10 +290,8 @@ def _encode(value):
     ``"p/q"`` strings, result records as dicts of their fields."""
     if isinstance(value, Fraction):
         return str(value)
-    if hasattr(value, "__dataclass_fields__") and not isinstance(value, type):
-        import dataclasses
-
-        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, Frozen):
+        return {name: getattr(value, name) for name in value._fields}
     raise TypeError(f"{type(value).__name__} is not part of a report body")
 
 

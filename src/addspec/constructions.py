@@ -11,11 +11,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Tuple
 
 from .errors import MalformedInputError, OverlappingSupportError
+from .exact import Frozen
 from .exponents import ExponentPair, ExponentSet, ZigzagPath
 from .measures import IntervalUnionMeasure, as_fraction, support_bounds
 
@@ -38,8 +38,7 @@ def staircase_zigzag(length: int, start=(0, 0)) -> ZigzagPath:
     return ZigzagPath(tuple(verts))
 
 
-@dataclass(frozen=True)
-class NonOverlapSpectrum:
+class NonOverlapSpectrum(Frozen):
     """Doubled spectrum for a component measure supported away from 0.
 
     pairs = {(l, l)} u {(l, l + tau)} over the caller-supplied base, with
@@ -48,10 +47,15 @@ class NonOverlapSpectrum:
     prefixes cover nested base truncations.
     """
 
-    base: Tuple[Fraction, ...]
-    tau: Fraction
-    epsilon: Fraction
-    pairs: ExponentSet
+    __slots__ = ("base", "tau", "epsilon", "pairs")
+    _fields = ("base", "tau", "epsilon", "pairs")
+
+    def __init__(self, base: Tuple[Fraction, ...], tau: Fraction, epsilon: Fraction,
+                 pairs: ExponentSet):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "pairs", pairs)
 
 
 def nonoverlap_riesz_spectrum(m: IntervalUnionMeasure, base: Iterable) -> NonOverlapSpectrum:

@@ -5,10 +5,12 @@ its lowest-terms (numerator, denominator) pair, denominator positive: the
 key that ``exponents`` interns lines by, so a point file is read without a
 Fraction per coordinate.  ``as_fraction`` is the same value as a Fraction.
 
-``Frozen`` gives the measure and exponent value classes what a frozen
-dataclass would, without importing ``dataclasses`` (which imports
-``inspect``).  This module imports neither numpy nor ``measures``' transform
-kernels, so ``analyze`` loads none of them.
+``Frozen`` is the base of every record in the package, the measure and
+exponent values and the results of the numerical modules alike: it gives
+them what a frozen dataclass would, without importing ``dataclasses`` or
+generating code for each class at import.  A record's constructor is
+written out by hand.  This module imports neither numpy nor ``measures``'
+transform kernels, so ``analyze`` loads none of them.
 """
 
 from __future__ import annotations
@@ -68,6 +70,10 @@ class Frozen:
     spells them out, copies and pickles are rebuilt through the constructor,
     and assigning or deleting an attribute raises AttributeError, as on a
     frozen dataclass.  Constructors set fields with ``object.__setattr__``.
+    An attribute kept out of ``==``, ``hash`` and ``repr`` (a dataclass
+    field with ``compare=False, repr=False``) is a slot left out of
+    ``_fields``; a record whose constructor takes one overrides
+    ``__reduce__`` to keep it in copies.
     """
 
     __slots__ = ()

@@ -31,7 +31,9 @@ points already.  Each axis's integer grid is read from the set's line keys
 (``ExponentSet.axis_keys`` through ``measures.exact_grid``), and the loop of
 a degenerate prefix from the set's incidence forest, so a point file's
 coordinates become neither Fractions nor ``ExponentPair`` objects unless a
-report prints them.
+report prints them.  The frame coefficients of a Parseval residual read the
+same grids, and the collinear demo hands the quadrature the integer
+numerators of its line, n over 1 and p n over q.
 
 Either way, a section that splits into two exactly orthonormal halves takes
 a half-size step: the matrix is [[I, C], [C^H, I]] after ordering, and its
@@ -40,29 +42,30 @@ exact zeros of the matrix itself (``_halves``); it covers doubled
 non-overlap spectra on an integer base, lev sets with two points per line,
 and orthonormal sets, whose eigenvalues are then exactly 1.
 
+The records are ``exact.Frozen`` values with hand-written constructors, and
 numpy is imported inside the functions that compute with it, so importing
-this module loads none.
+this module loads neither numpy nor ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .additive_space import (
     AdditiveSpace,
-    ExponentPair,
     FiniteCombination,
     PiecewisePolynomial,
     exp_inner,  # unused here; perfbench/tracing.py counts calls through addspec.gram.exp_inner
     frame_coefficients,
+    grid_coefficients,
     pair_norm_sq,
     plus_space,
     support_intervals,
 )
 from .errors import MalformedInputError
+from .exact import Frozen
 from .exponents import ExponentSet, ZigzagPath, find_zigzag_loop
 from .measures import INT64_SAFE, IntervalUnionMeasure, as_fraction, exact_grid, residues
 from .measures import transform_rows, unit_phase
@@ -78,8 +81,7 @@ STABILITY_RTOL = 0.1
 ROW_BLOCK = 32
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(Frozen):
     """Hermitian matrix of exponential inner products of an ordered point set.
 
     ``points`` is the ``ExponentSet`` of its rows, in order, with its line
@@ -94,11 +96,24 @@ class GramMatrix:
     the eigenvalues of G.  ``entries`` is then that float64 matrix, not G,
     and an eigenvector v of it is u * v for G; without phases ``entries`` is
     G itself, complex.
+
+    It holds a matrix, not a value: ``==`` and ``hash`` go by identity.
+    ``phases`` stays out of the repr, and pickles keep it.
     """
 
-    points: ExponentSet
-    entries: np.ndarray
-    phases: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    __slots__ = ("points", "entries", "phases")
+    _fields = ("points", "entries")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, points: ExponentSet, entries: np.ndarray,
+                 phases: Optional[np.ndarray] = None):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "phases", phases)
+
+    def __reduce__(self):
+        return type(self), (self.points, self.entries, self.phases)
 
     @property
     def size(self) -> int:
@@ -384,8 +399,7 @@ def extremal_eigenvalues(g: GramMatrix) -> Tuple[float, float]:
     return _extremes(g.entries, g.size, _halves(g.entries))
 
 
-@dataclass(frozen=True)
-class SectionCertificate:
+class SectionCertificate(Frozen):
     """Eigenvalue record over nested Gram sections with a scoped verdict.
 
     degenerate       -- some section has a (numerically) zero eigenvalue; the
@@ -396,17 +410,36 @@ class SectionCertificate:
     riesz-consistent -- the smallest eigenvalue stabilized above a positive
                         floor; necessary-condition evidence, not a proof.
     indeterminate    -- still drifting at the largest section.
+
+    ``gram`` is the assembled matrix of the largest section, for checks that
+    reuse it: not part of the report body, ``==``, ``hash`` or repr, though
+    pickles keep it.
     """
 
-    sizes: Tuple[int, ...]
-    lambda_min: Tuple[float, ...]
-    lambda_max: Tuple[float, ...]
-    verdict: str
-    floor: float
-    null_combination: Optional[FiniteCombination] = None
-    # the assembled matrix of the largest section, for checks that reuse it;
-    # not part of the report body, equality or repr
-    gram: Optional[GramMatrix] = field(default=None, compare=False, repr=False)
+    __slots__ = ("sizes", "lambda_min", "lambda_max", "verdict", "floor",
+                 "null_combination", "gram")
+    _fields = ("sizes", "lambda_min", "lambda_max", "verdict", "floor", "null_combination")
+
+    def __init__(
+        self,
+        sizes: Tuple[int, ...],
+        lambda_min: Tuple[float, ...],
+        lambda_max: Tuple[float, ...],
+        verdict: str,
+        floor: float,
+        null_combination: Optional[FiniteCombination] = None,
+        gram: Optional[GramMatrix] = None,
+    ):
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "lambda_min", lambda_min)
+        object.__setattr__(self, "lambda_max", lambda_max)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "floor", floor)
+        object.__setattr__(self, "null_combination", null_combination)
+        object.__setattr__(self, "gram", gram)
+
+    def __reduce__(self):
+        return type(self), self._values() + (self.gram,)
 
     def to_body(self) -> dict:
         body = {
@@ -505,17 +538,19 @@ def riesz_section_certificate(
 
 def parseval_residual(
     s: AdditiveSpace,
-    pairs: Sequence[ExponentPair],
+    points,
     test_fn: Tuple[PiecewisePolynomial, PiecewisePolynomial],
 ) -> float:
-    """||F||^2 - sum over pairs of |<F, e_{a,b}>|^2 for F = (f, g) on the axes.
+    """||F||^2 - sum over points of |<F, e_{a,b}>|^2 for F = (f, g) on the axes.
 
-    For an orthonormal truncation this is the (non-negative) tail energy; for
-    a non-orthonormal system it can take either sign.
+    ``points`` is an ``ExponentSet``, whose frame coefficients are taken on
+    its axes' integer grids (``frame_coefficients``), or a sequence of
+    pairs.  For an orthonormal truncation this is the (non-negative) tail
+    energy; for a non-orthonormal system it can take either sign.
     """
     import numpy as np
 
-    coeffs = frame_coefficients(s, test_fn, tuple(pairs))
+    coeffs = frame_coefficients(s, test_fn, points)
     return pair_norm_sq(s, test_fn) - float(np.sum(np.abs(coeffs) ** 2))
 
 
@@ -578,13 +613,17 @@ def random_piecewise_linear(intervals, rng: np.random.Generator) -> PiecewisePol
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CollinearFailureReport:
-    slope: Fraction
-    n_points: int
-    frame_sum: float
-    energy: float
-    ratio: float
+class CollinearFailureReport(Frozen):
+    __slots__ = ("slope", "n_points", "frame_sum", "energy", "ratio")
+    _fields = ("slope", "n_points", "frame_sum", "energy", "ratio")
+
+    def __init__(self, slope: Fraction, n_points: int, frame_sum: float, energy: float,
+                 ratio: float):
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "n_points", n_points)
+        object.__setattr__(self, "frame_sum", frame_sum)
+        object.__setattr__(self, "energy", energy)
+        object.__setattr__(self, "ratio", ratio)
 
 
 def collinear_failure_demo(a, N: int, g=None, seed: int = 0) -> CollinearFailureReport:
@@ -630,10 +669,12 @@ def collinear_failure_demo(a, N: int, g=None, seed: int = 0) -> CollinearFailure
         )
     )
     f = g_rescaled.negated()
+    # the line points (n, p n / q), n = -N..N, as numerators n over 1 and p n over q
     p, q = a.numerator, a.denominator
-    line = [ExponentPair._exact(Fraction(n), Fraction(p * n, q)) for n in range(-N, N + 1)]
+    x = exact_grid(range(-N, N + 1))
+    y = exact_grid([p * n for n in range(-N, N + 1)])[0], q
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = frame_coefficients(s, (f, g), line)
+        coeffs = grid_coefficients(s, (f, g), x, y)
         frame_sum = float(np.sum(np.abs(coeffs) ** 2))
         energy = pair_norm_sq(s, (f, g))
     if not (math.isfinite(frame_sum) and math.isfinite(energy)):

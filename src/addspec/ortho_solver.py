@@ -21,19 +21,20 @@ evaluates only the grid cells that can hold its minimum: a sampled unmasked
 cell bounds the minimum, and |z| >= |Re z| puts every cell under that bound
 in one searchable run of each grid row.  Exact ties go to the first cell in
 grid order.
+The records are ``exact.Frozen`` values with hand-written constructors, and
 numpy is imported inside the functions that compute with it, so importing
-this module loads none.
+this module loads neither numpy nor ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import MalformedInputError, MultiplicityOneViolation, UnsolvedCaseError
+from .exact import Frozen
 from .exponents import lower_beurling_density
 from .measures import INT64_SAFE, IntervalUnionMeasure, as_fraction, exact_grid
 from .measures import fourier_transform, transform_rows
@@ -53,8 +54,7 @@ def residual(t, t_prime, l1, l2) -> float:
     return abs(fourier_transform(unit(t), l1) + fourier_transform(unit(t_prime), l2))
 
 
-@dataclass(frozen=True)
-class OrthSolutionFamily:
+class OrthSolutionFamily(Frozen):
     """Parametrized solutions (l1, l2) of the orthogonality constraint.
 
     Each coordinate is a nonzero offset + step n.  A sign-coupled family
@@ -62,10 +62,15 @@ class OrthSolutionFamily:
     pairs any two coordinates.
     """
 
-    kind: str
-    offset: Fraction = Fraction(0)
-    step: Fraction = Fraction(1)
-    sign_coupled: bool = False
+    __slots__ = ("kind", "offset", "step", "sign_coupled")
+    _fields = ("kind", "offset", "step", "sign_coupled")
+
+    def __init__(self, kind: str, offset: Fraction = Fraction(0), step: Fraction = Fraction(1),
+                 sign_coupled: bool = False):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "sign_coupled", sign_coupled)
 
     def members(self, count: int) -> Iterator[Tuple[Fraction, Fraction]]:
         """First ``count`` members in a deterministic near-origin-first order."""
@@ -156,15 +161,27 @@ def solve_families(t, t_prime) -> List[OrthSolutionFamily]:
     return [INTEGER_LATTICE, OrthSolutionFamily(kind, Fraction(a, 2), Fraction(a), True)]
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    t: Fraction
-    t_prime: Fraction
-    box: Tuple[Tuple[float, float], Tuple[float, float]]
-    grid: int
-    min_residual: float
-    argmin: Tuple[float, float]
-    excluded_kinds: Tuple[str, ...]
+class ScanResult(Frozen):
+    __slots__ = ("t", "t_prime", "box", "grid", "min_residual", "argmin", "excluded_kinds")
+    _fields = ("t", "t_prime", "box", "grid", "min_residual", "argmin", "excluded_kinds")
+
+    def __init__(
+        self,
+        t: Fraction,
+        t_prime: Fraction,
+        box: Tuple[Tuple[float, float], Tuple[float, float]],
+        grid: int,
+        min_residual: float,
+        argmin: Tuple[float, float],
+        excluded_kinds: Tuple[str, ...],
+    ):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t_prime", t_prime)
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "min_residual", min_residual)
+        object.__setattr__(self, "argmin", argmin)
+        object.__setattr__(self, "excluded_kinds", excluded_kinds)
 
 
 def scan_residual(
@@ -264,18 +281,33 @@ def scan_residual(
     )
 
 
-@dataclass(frozen=True)
-class SpectrumClassification:
+class SpectrumClassification(Frozen):
     """Outcome of the maximal-candidate analysis for a symmetric solved case."""
 
-    t: Fraction
-    a: int
-    candidate_step: Optional[Fraction]
-    projection_step: Optional[Fraction]
-    density_exact: Optional[Fraction]
-    density_window_estimate: Optional[float]
-    window: float
-    verdict: str
+    __slots__ = ("t", "a", "candidate_step", "projection_step", "density_exact",
+                 "density_window_estimate", "window", "verdict")
+    _fields = ("t", "a", "candidate_step", "projection_step", "density_exact",
+               "density_window_estimate", "window", "verdict")
+
+    def __init__(
+        self,
+        t: Fraction,
+        a: int,
+        candidate_step: Optional[Fraction],
+        projection_step: Optional[Fraction],
+        density_exact: Optional[Fraction],
+        density_window_estimate: Optional[float],
+        window: float,
+        verdict: str,
+    ):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "candidate_step", candidate_step)
+        object.__setattr__(self, "projection_step", projection_step)
+        object.__setattr__(self, "density_exact", density_exact)
+        object.__setattr__(self, "density_window_estimate", density_window_estimate)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "verdict", verdict)
 
 
 def classify_spectrum_candidates(

@@ -118,6 +118,38 @@ def test_combination_requires_distinct_pairs():
         FiniteCombination(())
 
 
+@pytest.mark.parametrize(
+    "terms, error, message",
+    [((), MalformedInputError, "combination needs at least one term"),
+     (((ExponentPair(0, 0), 1), (ExponentPair("2/4", 0), 2), (ExponentPair("1/2", 0), 3)),
+      MalformedInputError, "combination has duplicate exponent pairs"),
+     # every coefficient is made complex before the checks run
+     (((ExponentPair(0, 0), 1), (ExponentPair(0, 0), "x")), ValueError,
+      "complex() arg is a malformed string")],
+)
+def test_combination_checks_and_their_messages(terms, error, message):
+    with pytest.raises(error) as err:
+        FiniteCombination(terms)
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_records_normalize_their_fields():
+    c = FiniteCombination(((ExponentPair(0, 0), 1), (ExponentPair(1, 0), 0.5)))
+    assert [type(z) for _, z in c.terms] == [complex, complex]
+    f = PiecewisePolynomial((("-1/2", 0, (1, 2)), (0.25, "1/2", (3j,))))
+    assert f.pieces == ((Fraction(-1, 2), Fraction(0), (1 + 0j, 2 + 0j)),
+                        (Fraction(1, 4), Fraction(1, 2), (3j,)))
+    assert {type(v) for l, r, _ in f.pieces for v in (l, r)} == {Fraction}
+    # every piece is read before any is checked, so a later bad endpoint
+    # is reported ahead of an earlier empty piece
+    with pytest.raises(MalformedInputError) as err:
+        PiecewisePolynomial((("1", "0", (1.0,)), ("x", "1", (1.0,))))
+    assert str(err.value) == "not a rational: 'x'"
+    with pytest.raises(MalformedInputError) as err:
+        PiecewisePolynomial((("0", "1", ()), ("1", "1", (1.0,))))
+    assert str(err.value) == "piece needs at least one coefficient"
+
+
 def _numeric_axis_norm(measure, coeff_map):
     """Quadrature oracle for || sum_a d_a e_a ||^2 in L^2 of a 1-d measure."""
     total = 0.0

@@ -69,6 +69,69 @@ def test_gram_builds_no_pair_or_fraction_per_point(tmp_path, monkeypatch):
     assert onb[0][0] == lev[0][0] == 0
 
 
+def count_fractions(monkeypatch, run):
+    """Fractions built while ``run()`` runs, and its result."""
+    made = []
+    new = Fraction.__new__
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", lambda cls, *a, **k: made.append(1) or new(cls, *a, **k))
+        out = run()
+    return len(made), out
+
+
+def test_parseval_builds_no_fraction_per_point(tmp_path, monkeypatch):
+    """``gram --parseval`` takes its frame coefficients on the set's integer
+    grids: as many Fractions on 17 L-ONB points as on 129, and the same
+    residuals as on the set's pairs."""
+    counts = []
+    for n in (8, 64):
+        pts = tmp_path / f"onb_{n}.json"
+        assert main(["construct", "l-onb", "--N", str(n), "--out", str(pts)]) == 0
+        made, (code, report) = count_fractions(monkeypatch, lambda: run_json(
+            tmp_path, ["gram", "--space", "L", "--points", str(pts), "--parseval"]))
+        assert code == 0
+        counts.append(made)
+        space, pairs = addspec.l_space(), addspec.l_space_onb(n).points
+        for row, degree in zip(report["body"]["parseval"], (0, 1, 3)):
+            want = addspec.parseval_residual(space, pairs, addspec.monomial_pair(space, degree, degree))
+            assert row["residual"] == want
+    assert counts[0] == counts[1]
+
+
+def test_collinear_demo_builds_no_fraction_per_point(monkeypatch):
+    """The demo hands the quadrature its line's integer numerators: as many
+    Fractions at N = 16 as at N = 256, for a constant and a random g."""
+    for g in (None, "random"):
+        counts = [count_fractions(monkeypatch, lambda: addspec.collinear_failure_demo(
+            Fraction(25, 99), n, g=g, seed=3))[0] for n in (16, 256)]
+        assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gram", "--space", "L", "--points", "{points}", "--parseval"],
+    ["solve-oe", "--space", "L", "--scan", "--grid", "40"],
+    ["demo-collinear", "--a", "25/99", "--N", "16"],
+], ids=["gram", "solve-oe", "demo-collinear"])
+def test_numerical_commands_load_no_dataclasses(tmp_path, fresh_python, argv):
+    """The result records are ``exact.Frozen`` values: a fresh process of a
+    numerical command never imports ``dataclasses``."""
+    pts = tmp_path / "points.json"
+    pts.write_text(json.dumps([["0", "0"], ["1/2", "-1/2"], ["-1/2", "1/2"]]))
+    script = (
+        "import json, sys\n"
+        "from addspec.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps('dataclasses' in sys.modules), file=sys.stderr)\n"
+        "raise SystemExit(code)\n"
+    )
+    out = tmp_path / "report.json"
+    args = [a.format(points=pts) for a in argv]
+    proc = fresh_python(script, *args, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr) is False
+    assert json.loads(out.read_text())["body"]
+
+
 @pytest.mark.parametrize("sizes, assemblies", [(None, 1), ("5,17", 1), ("5,9", 2)])
 def test_gram_identity_check_reuses_certificate_matrix(tmp_path, monkeypatch, sizes, assemblies):
     import addspec.cli

@@ -34,7 +34,9 @@ from addspec.errors import (
     NotAnSSequenceError,
     ZigzagLoopDetected,
 )
+from addspec.gram import CollinearFailureReport
 from addspec.measures import as_fraction
+from addspec.ortho_solver import ScanResult, SpectrumClassification
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +525,14 @@ def test_loop_pairs_are_built_from_line_ids():
 # ---------------------------------------------------------------------------
 
 
+def section_certificate():
+    """The degenerate certificate of a rectangle on L: a loop alternation as
+    its null combination, and its assembled matrix as ``gram``."""
+    rectangle = ExponentSet.of([(0, 0), (0, 1), (1, 1), (1, 0)])
+    return addspec.riesz_section_certificate(addspec.l_space(), rectangle, [2, 4])
+
+
+FAMILY = ("kind", "offset", "step", "sign_coupled")
 VALUES = [
     (ExponentPair("1/2", -3), ("a", "b")),
     # starts_with follows from the vertices: not a constructor field
@@ -530,12 +540,34 @@ VALUES = [
     (addspec.IntervalUnionMeasure.from_pieces([("-2", "-1", "1/2"), ("1", "2", "1/2")]), ("pieces",)),
     (ExponentSet.of([("1/2", "-1/2"), (1, 2)]), ("points",)),
     (ExponentSet.from_json([["1/2", "-1/2"], ["1", "2"]]), ("points",)),
+    (addspec.t_space(), ("mu", "nu")),
+    (addspec.FiniteCombination(((ExponentPair(0, 0), 1), (ExponentPair("1/2", 1), -0.5j))), ("terms",)),
+    (addspec.PiecewisePolynomial((("-1/2", 0, (1, 2j)), (0, "1/2", (0.5,)))), ("pieces",)),
+    (addspec.OrthSolutionFamily("antidiagonal-half-integer", Fraction(1, 2), Fraction(1), True), FAMILY),
+    (addspec.OrthSolutionFamily("integer-lattice"), FAMILY),
+    (ScanResult(Fraction(1, 3), Fraction(-2, 5), ((-4.0, 4.0), (-4.0, 4.0)), 40, 0.0125,
+                (0.1, -0.3), ()), ("t", "t_prime", "box", "grid", "min_residual", "argmin",
+                                   "excluded_kinds")),
+    (SpectrumClassification(Fraction(-1, 3), 3, Fraction(3, 2), Fraction(3, 2), Fraction(2, 3),
+                            0.665, 100.0, "fails Landau necessary condition"),
+     ("t", "a", "candidate_step", "projection_step", "density_exact", "density_window_estimate",
+      "window", "verdict")),
+    (addspec.nonoverlap_riesz_spectrum(addspec.IntervalUnionMeasure.unit_interval(1), [0, 1, -1]),
+     ("base", "tau", "epsilon", "pairs")),
+    (CollinearFailureReport(Fraction(25, 99), 33, 7.15e-33, 2.48, 2.88e-33),
+     ("slope", "n_points", "frame_sum", "energy", "ratio")),
+    # gram is the assembled matrix: not a field
+    (section_certificate(),
+     ("sizes", "lambda_min", "lambda_max", "verdict", "floor", "null_combination")),
 ]
 
 
 @pytest.mark.parametrize(
     "value, fields", VALUES,
-    ids=["ExponentPair", "ZigzagPath", "IntervalUnionMeasure", "ExponentSet.of", "ExponentSet.from_json"],
+    ids=["ExponentPair", "ZigzagPath", "IntervalUnionMeasure", "ExponentSet.of", "ExponentSet.from_json",
+         "AdditiveSpace", "FiniteCombination", "PiecewisePolynomial", "OrthSolutionFamily",
+         "OrthSolutionFamily.defaults", "ScanResult", "SpectrumClassification",
+         "NonOverlapSpectrum", "CollinearFailureReport", "SectionCertificate"],
 )
 def test_value_class_contract(value, fields):
     values = tuple(getattr(value, name) for name in fields)
@@ -552,6 +584,19 @@ def test_value_class_contract(value, fields):
     assert tuple(getattr(value, name) for name in fields) == values
 
 
+def test_section_certificate_keeps_its_matrix_out_of_its_value():
+    cert = section_certificate()
+    assert cert.verdict == "degenerate" and cert.null_combination is not None
+    assert cert.gram is not None and cert.gram.size == 4
+    fields = [getattr(cert, name) for name in type(cert)._fields]
+    bare = type(cert)(*fields)
+    assert bare.gram is None and bare == cert and hash(bare) == hash(cert)
+    assert repr(bare) == repr(cert) and "gram" not in repr(cert)
+    assert copy.copy(cert).gram is cert.gram
+    again = pickle.loads(pickle.dumps(cert))
+    assert again == cert and np.array_equal(again.gram.entries, cert.gram.entries)
+
+
 def test_value_class_reprs():
     a, b = Fraction(1), Fraction(2)
     assert hash(ExponentPair(a, b)) == hash((a, b))
@@ -564,6 +609,10 @@ def test_value_class_reprs():
     assert repr(ExponentSet.from_json([["1/2", 0]])) == "ExponentSet(points=((1/2, 0),))"
     assert repr(addspec.IntervalUnionMeasure.unit_interval(0)) == (
         "IntervalUnionMeasure(pieces=((Fraction(0, 1), Fraction(1, 1), Fraction(1, 1)),))"
+    )
+    assert repr(addspec.OrthSolutionFamily("integer-lattice")) == (
+        "OrthSolutionFamily(kind='integer-lattice', offset=Fraction(0, 1), step=Fraction(1, 1), "
+        "sign_coupled=False)"
     )
 
 

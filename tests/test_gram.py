@@ -1,5 +1,6 @@
 import contextlib
 import math
+import pickle
 import re
 import tracemalloc
 from fractions import Fraction
@@ -63,6 +64,22 @@ def test_assemble_single_pair():
     g = assemble(t_space(), [ExponentPair("1/3", "-2/5")])
     assert g.entries.shape == (1, 1)
     assert g.entries[0, 0] == 1.0
+
+
+def test_gram_matrix_compares_by_identity():
+    """A section holds a matrix, not a value: two assemblies of one set are
+    two records, which compare and hash without reading their arrays."""
+    es = ExponentSet.from_json([["0", "0"], ["1/2", "-1/2"]])
+    g, h = assemble(l_space(), es), assemble(l_space(), es)
+    assert np.array_equal(g.entries, h.entries) and g.phases is not None
+    assert g == g and not g == h and g != h
+    assert hash(g) == hash(g) and len({g, h, g}) == 2
+    assert "phases" not in repr(g) and repr(g).startswith("GramMatrix(points=")
+    again = pickle.loads(pickle.dumps(g))
+    assert again != g and again.points == g.points
+    assert np.array_equal(again.entries, g.entries) and np.array_equal(again.phases, g.phases)
+    with pytest.raises(AttributeError):
+        g.entries = h.entries
 
 
 def test_assemble_known_two_by_two():
